@@ -5,7 +5,6 @@ by an integer matrix, verify it coefficient-by-coefficient against an
 independent series oracle, and cross-check the special-case formulas.
 """
 
-from ._backend import backend_name, compiled_available
 from .errors import (
     AllZeroRowError,
     BergpolyError,
@@ -22,6 +21,7 @@ from .errors import (
     PoleAtZeroError,
     SingularMatrixError,
     UnboundedDomainError,
+    WindowTooLargeError,
     WindowTooSmallError,
     WrongDimensionError,
 )

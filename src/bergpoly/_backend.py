@@ -1,41 +1,26 @@
-"""Backend selection for the oracle window fill.
+"""Window fill for the series oracle.
 
-The compiled extension (bergpoly._core, Cython) is preferred when it
-imported cleanly and the exact a-priori product bound fits in int64;
-otherwise the numpy fallback runs, and when even int64 is too small the
-exact big-integer path takes over.  Set BERGPOLY_PURE=1 to force the
-pure-Python backends (used by the benchmark and the fallback tests).
+One numpy fill serves every box: y = (m + 1) @ adj is formed column by
+column as a sum of n broadcast 1-D ranges, each factor is clamped to
+max(y_j, 0) (an exponent with some y_j < 1 is inadmissible and gets 0)
+and multiplied into the output in place.  The dtype is int64 when the
+exact a-priori bound on the products is below 2**62, and object (exact
+Python integers) otherwise.  The box is filled in slabs of SLAB_POINTS
+points along the first axis, which bounds the temporaries; with jobs > 1
+the same slabs run on a thread pool.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import _core_py
-
-try:  # pragma: no cover - absence is environment-specific
-    from . import _core  # type: ignore[attr-defined]
-except ImportError:  # pragma: no cover
-    _core = None
+from .errors import WindowTooLargeError
 
 _INT64_SAFE = 2**62
-
-
-def _pure_forced() -> bool:
-    return os.environ.get("BERGPOLY_PURE") == "1"
-
-
-def compiled_available() -> bool:
-    return _core is not None
-
-
-def backend_name() -> str:
-    if compiled_available() and not _pure_forced():
-        return "compiled"
-    return "python"
+SLAB_POINTS = 2**16
 
 
 def product_bound(adj_rows, lo, hi) -> int:
@@ -53,56 +38,52 @@ def product_bound(adj_rows, lo, hi) -> int:
 def fill_products(adj_rows, lo, hi, jobs: int = 1) -> np.ndarray:
     """Dense C-order array over the box lo..hi of prod_j ((m+1) @ adj)_j,
     with 0 marking inadmissible exponents.  dtype is int64 when the exact
-    bound allows, object otherwise."""
+    bound allows, object otherwise.  Raises WindowTooLargeError when the
+    array cannot be allocated."""
     lo = tuple(int(x) for x in lo)
     hi = tuple(int(x) for x in hi)
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     if any(s <= 0 for s in shape):
         return np.zeros(tuple(max(s, 0) for s in shape), dtype=np.int64)
 
-    if product_bound(adj_rows, lo, hi) >= _INT64_SAFE:
-        flat = _core_py.fill_products_object(adj_rows, lo, hi)
-        return flat.reshape(shape)
+    dtype = object if product_bound(adj_rows, lo, hi) >= _INT64_SAFE else np.int64
+    try:
+        out = np.empty(shape, dtype=dtype)
+    except MemoryError:
+        points = math.prod(shape)
+        raise WindowTooLargeError(
+            f"the oracle hull {lo}..{hi} has {points} points and needs "
+            f"{points * np.dtype(dtype).itemsize} bytes, more than can be allocated"
+        ) from None
 
-    if jobs > 1 and shape[0] >= 2 * jobs:
-        return _fill_slabbed(adj_rows, lo, hi, shape, jobs)
-
-    out = np.empty(int(np.prod(shape)), dtype=np.int64)
-    _fill_flat(adj_rows, lo, hi, out)
-    return out.reshape(shape)
-
-
-def _fill_flat(adj_rows, lo, hi, out) -> None:
-    if compiled_available() and not _pure_forced():
-        adj = np.asarray(adj_rows, dtype=np.int64)
-        _core.fill_products_int64(
-            adj,
-            np.asarray(lo, dtype=np.int64),
-            np.asarray(hi, dtype=np.int64),
-            out,
-        )
-    else:
-        _core_py.fill_products_int64(adj_rows, lo, hi, out)
-
-
-def _fill_slabbed(adj_rows, lo, hi, shape, jobs) -> np.ndarray:
-    # Partition along the first axis; workers write disjoint slices, and
-    # the slab order is fixed, so the result is deterministic.
-    edges = np.linspace(0, shape[0], jobs + 1, dtype=int)
-    out = np.empty(shape, dtype=np.int64)
-
-    def run(a: int, b: int):
-        slab_lo = (lo[0] + a,) + lo[1:]
-        slab_hi = (lo[0] + b - 1,) + hi[1:]
-        flat = out[a:b].reshape(-1)
-        _fill_flat(adj_rows, slab_lo, slab_hi, flat)
-
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = [
-            pool.submit(run, int(a), int(b))
-            for a, b in zip(edges[:-1], edges[1:])
-            if b > a
+    n = len(shape)
+    # axes[i][j]: (m_i + 1) * adj[i][j] along axis i, shaped to broadcast
+    axes = [
+        [
+            (np.arange(l + 1, h + 2, dtype=dtype) * int(adj_rows[i][j])).reshape(
+                (-1,) + (1,) * (n - 1 - i)
+            )
+            for j in range(n)
         ]
-        for f in futures:
-            f.result()
+        for i, (l, h) in enumerate(zip(lo, hi))
+    ]
+    rows = max(1, SLAB_POINTS // math.prod(shape[1:]))
+
+    def fill_slab(a: int) -> None:
+        b = a + rows
+        block = out[a:b]
+        block[...] = 1
+        for j in range(n):
+            y = axes[0][j][a:b].copy()  # clamped in place below
+            for i in range(1, n):
+                y = y + axes[i][j]
+            block *= np.maximum(y, 0, out=y)
+
+    starts = range(0, shape[0], rows)
+    if jobs > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            list(pool.map(fill_slab, starts))
+    else:
+        for a in starts:
+            fill_slab(a)
     return out

@@ -29,6 +29,10 @@ class MatrixTooLargeError(InputError):
     """Dimension exceeds the configured cap (BERGPOLY_MAX_N, default 16)."""
 
 
+class WindowTooLargeError(InputError):
+    """The oracle's window hull is too large to allocate."""
+
+
 class InvalidKError(InputError):
     """Tent coefficient requested with k < 1."""
 

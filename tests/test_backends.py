@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from bergpoly import _backend, _core_py
+from bergpoly import _backend
 from bergpoly.int_linalg import IntMatrix, prepare
 
 
 def reference_fill(adj_rows, lo, hi):
-    """Tiny big-int reference, independent of both production paths."""
+    """Tiny big-int reference, independent of the production fill."""
     import itertools
 
     n = len(adj_rows)
@@ -31,31 +31,34 @@ ADJ_CASES = [
 ]
 
 
+def assert_matches_reference(adj, lo, hi, jobs):
+    out = _backend.fill_products(adj, lo, hi, jobs=jobs)
+    ref = reference_fill(adj, lo, hi)
+    assert out.dtype == np.int64
+    assert out.shape == ref.shape
+    assert all(int(a) == int(b) for a, b in zip(out.reshape(-1), ref.reshape(-1)))
+
+
 @pytest.mark.parametrize("adj,lo,hi", ADJ_CASES)
 def test_python_matches_reference(adj, lo, hi):
-    out = np.empty(int(np.prod([h - l + 1 for l, h in zip(lo, hi)])), dtype=np.int64)
-    _core_py.fill_products_int64(adj, lo, hi, out)
-    ref = reference_fill(adj, lo, hi).reshape(-1)
-    assert all(int(a) == int(b) for a, b in zip(out, ref))
+    for jobs in (1, 2):
+        assert_matches_reference(adj, lo, hi, jobs)
 
 
-@pytest.mark.parametrize("adj,lo,hi", ADJ_CASES)
-def test_compiled_matches_python(adj, lo, hi):
-    if not _backend.compiled_available():
-        pytest.skip("compiled extension not built")
-    from bergpoly import _core
+def test_several_slabs_match_reference():
+    adj, lo, hi = [[2, 1, 0], [1, 1, 1], [0, 0, 3]], (-20, -20, -20), (20, 20, 20)
+    assert 41**3 > _backend.SLAB_POINTS
+    for jobs in (1, 2):
+        assert_matches_reference(adj, lo, hi, jobs)
 
-    size = int(np.prod([h - l + 1 for l, h in zip(lo, hi)]))
-    got = np.empty(size, dtype=np.int64)
-    _core.fill_products_int64(
-        np.asarray(adj, dtype=np.int64),
-        np.asarray(lo, dtype=np.int64),
-        np.asarray(hi, dtype=np.int64),
-        got,
-    )
-    want = np.empty(size, dtype=np.int64)
-    _core_py.fill_products_int64(adj, lo, hi, want)
-    assert np.array_equal(got, want)
+
+def test_int64_bound_edge():
+    below = _backend.fill_products([[2**62 - 1]], (0,), (0,))
+    assert below.dtype == np.int64
+    assert int(below[0]) == 2**62 - 1
+    at = _backend.fill_products([[2**62]], (0,), (0,))
+    assert at.dtype == object
+    assert at[0] == 2**62
 
 
 def test_object_path_on_huge_entries():
@@ -65,15 +68,6 @@ def test_object_path_on_huge_entries():
     assert out.dtype == object
     # m = (1, 2): y = (2 big, 2 + 3 big)
     assert out[1, 2] == (2 * big) * (2 + 3 * big)
-
-
-def test_pure_env_forces_python(monkeypatch):
-    monkeypatch.setenv("BERGPOLY_PURE", "1")
-    assert _backend.backend_name() == "python"
-    out = _backend.fill_products([[1, 1], [0, 1]], (-2, -2), (2, 2))
-    monkeypatch.delenv("BERGPOLY_PURE")
-    again = _backend.fill_products([[1, 1], [0, 1]], (-2, -2), (2, 2))
-    assert np.array_equal(out, again)
 
 
 def test_slab_parallel_fill_matches_serial():

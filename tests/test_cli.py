@@ -1,7 +1,13 @@
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bergpoly
 from bergpoly import cli
 from bergpoly.oracle import OracleReport, Window
 
@@ -159,6 +165,28 @@ class TestVerify:
             capsys, "verify", "--matrix", "2 -1 / 0 1", "--window", "10", "--jobs", "3"
         )
         assert serial == parallel
+
+    def test_oversized_window_is_input_error(self):
+        # The 5x5 hull at radius 40 needs about 52 GiB; under a 3 GB address
+        # space limit its allocation fails and must end in one typed line.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        src = str(Path(bergpoly.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+        matrix = "2 -1 0 0 0 / 0 2 -1 0 0 / 0 0 2 -1 0 / 0 0 0 2 -1 / -1 0 0 0 2"
+        proc = subprocess.run(
+            [sys.executable, "-m", "bergpoly.cli", "verify", "--matrix", matrix,
+             "--window", "40"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("WindowTooLargeError: ")
+        assert "Traceback" not in proc.stderr
 
     def test_canonicity_exit_code(self, capsys, monkeypatch):
         from bergpoly.errors import CanonicityViolationError
