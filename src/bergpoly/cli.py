@@ -4,8 +4,9 @@ Commands: validate, kernel, eval, verify, special.  Results go to stdout
 (deterministic JSON by default; latex/text on request), diagnostics to
 stderr.  Exit codes: 0 success, 1 invalid input, 2 verification
 mismatch, 3 internal canonicity violation, 64 usage error.  A `verify`
-window whose oracle hull cannot be allocated is invalid input: exit 1
-with one WindowTooLargeError line giving its point count and bytes.
+window whose oracle hull or comparison grid cannot be allocated is
+invalid input: exit 1 with one WindowTooLargeError line giving its point
+count and bytes.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ def numerator_polynomial(vm: ValidatedMatrix) -> LaurentPolynomial:
     terms = tent_product_over_box(
         box.lower, box.upper, [vm.det] * vm.n, weights, offsets
     )
-    return LaurentPolynomial(vm.n, {e: Fraction(c) for e, c in terms.items()})
+    return LaurentPolynomial(vm.n, terms)
 
 
 def denominator_factors(vm: ValidatedMatrix) -> list[LaurentPolynomial]:
@@ -118,7 +118,7 @@ def denominator_factors(vm: ValidatedMatrix) -> list[LaurentPolynomial]:
         plus_e = split.plus.row(j)
         terms[minus_e] = terms.get(minus_e, 0) + 1
         terms[plus_e] = terms.get(plus_e, 0) - 1
-        out.append(LaurentPolynomial(vm.n, {e: Fraction(c) for e, c in terms.items()}))
+        out.append(LaurentPolynomial(vm.n, terms))
     return out
 
 
@@ -153,11 +153,14 @@ class BergmanKernelForm:
         content of the numerator folded into the prefactor, and each
         squared binomial oriented as t^((b_-)^j) - t^((b_+)^j).
 
-        The assembled form is already canonical; special-case
-        constructions arrive in their own scalings/orientations and need
-        this before exact comparison or display.  A factor that does not
-        match its row's binomial up to sign is left untouched, so genuine
-        discrepancies stay visible.
+        The assembled form already has the row orientation, but its
+        numerator may keep integer content (for B = (1 -3 0 / 0 3 -1 /
+        0 0 1) the prefactor is 1/9 and every coefficient a multiple of 3;
+        canonicalized gives 1/3).  Special-case constructions arrive in
+        their own scalings/orientations; all of them need this before
+        exact comparison.  A factor that does not match its row's binomial
+        up to sign is left untouched, so genuine discrepancies stay
+        visible.
         """
         content = 0
         for _, c in self.numerator.items():
@@ -204,9 +207,15 @@ def same_kernel(a: BergmanKernelForm, b: BergmanKernelForm) -> bool:
 
 def canonicity_check(form: BergmanKernelForm) -> CanonicityVerdict:
     """No denominator binomial may divide the numerator; returns the first
-    offending factor index otherwise."""
+    offending factor index otherwise.
+
+    Each factor is t^a - t^b with s = a - b != 0, and Q[Z^n]/(1 - t^s) is
+    the group ring of Z^n / Zs, so the factor divides the numerator exactly
+    when the numerator's coefficients sum to zero on every coset of Zs
+    (LaurentPolynomial.divisible_by_binomial): O(terms * n) per factor,
+    with no division."""
     for j, factor in enumerate(form.factors):
-        if form.numerator.try_exact_divide(factor) is not None:
+        if form.numerator.divisible_by_binomial(factor):
             return CanonicityVerdict(False, j)
     return CanonicityVerdict(True)
 

@@ -1,10 +1,14 @@
 """Sparse multivariate Laurent polynomials with exact rational coefficients.
 
 Terms live in a map from integer exponent tuples (entries may be negative)
-to nonzero Fractions.  The canonical term order is lexicographic on the
-exponent tuple; serialization, equality and evaluation all follow it.
-Division is the single-divisor reduction needed for the canonicity checks:
-every divisor here is a two-term binomial, so no Groebner machinery.
+to nonzero coefficients, stored as int when integral and as Fraction
+otherwise; both carry .numerator and .denominator, which every serializer
+reads.  The canonical term order is lexicographic on the exponent tuple;
+serialization, equality and evaluation all follow it.
+
+Divisibility by a binomial c t^a - c t^b is decided by coset sums, in
+O(terms * n): this is the canonicity check.  Exact single-divisor
+division is kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -21,8 +25,12 @@ from .errors import (
 Exponent = tuple[int, ...]
 
 
-def _coerce(c) -> Fraction:
-    return c if isinstance(c, Fraction) else Fraction(c)
+def _coerce(c) -> int | Fraction:
+    """c as an int when integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = c if isinstance(c, Fraction) else Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 class LaurentPolynomial:
@@ -31,7 +39,7 @@ class LaurentPolynomial:
     __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[Sequence[int], Fraction | int] | None = None):
-        cleaned: dict[Exponent, Fraction] = {}
+        cleaned: dict[Exponent, int | Fraction] = {}
         if terms:
             for e, c in terms.items():
                 c = _coerce(c)
@@ -57,7 +65,7 @@ class LaurentPolynomial:
 
     @classmethod
     def one(cls, n: int) -> "LaurentPolynomial":
-        return cls(n, {(0,) * n: Fraction(1)})
+        return cls(n, {(0,) * n: 1})
 
     @classmethod
     def monomial(cls, n: int, coeff, exponent: Sequence[int]) -> "LaurentPolynomial":
@@ -71,13 +79,13 @@ class LaurentPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, exponent: Sequence[int]) -> Fraction:
-        return self._terms.get(tuple(exponent), Fraction(0))
+    def coefficient(self, exponent: Sequence[int]) -> int | Fraction:
+        return self._terms.get(tuple(exponent), 0)
 
     def items(self):
         return self._terms.items()
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, int | Fraction]]:
         """Terms in lexicographic exponent order (the canonical order)."""
         return sorted(self._terms.items())
 
@@ -92,7 +100,7 @@ class LaurentPolynomial:
             return (0,) * self.n
         return tuple(max(e[i] for e in self._terms) for i in range(self.n))
 
-    def leading_term(self) -> tuple[Exponent, Fraction]:
+    def leading_term(self) -> tuple[Exponent, int | Fraction]:
         e = max(self._terms)
         return e, self._terms[e]
 
@@ -131,7 +139,7 @@ class LaurentPolynomial:
         if isinstance(other, (int, Fraction)):
             return self.scaled(other)
         self._check(other)
-        out: dict[Exponent, Fraction] = {}
+        out: dict[Exponent, int | Fraction] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -182,6 +190,30 @@ class LaurentPolynomial:
 
     # -- division ----------------------------------------------------------
 
+    def divisible_by_binomial(self, f: "LaurentPolynomial") -> bool:
+        """Whether f = c t^a - c t^b (c != 0, a != b) divides self exactly
+        in the Laurent ring; any other f raises ValueError.
+
+        Up to the unit c t^b, f is t^s - 1 with s = a - b, and for every
+        nonzero s, primitive or not, Q[Z^n]/(1 - t^s) is Q[Z^n / Zs].  So f
+        divides self exactly when self's coefficients sum to zero on every
+        coset e + Zs.  With p the first nonzero coordinate of s, each coset
+        has exactly one representative e - floor(e_p / s_p) s, the one whose
+        p-th coordinate lies between 0 and s_p (s_p excluded).
+        """
+        self._check(f)
+        if len(f) != 2 or sum(c for _, c in f.items()) != 0:
+            raise ValueError(f"not a binomial c*t^a - c*t^b: {f!r}")
+        a, b = f._terms
+        s = tuple(x - y for x, y in zip(a, b))
+        p = next(i for i, x in enumerate(s) if x)
+        sums: dict[Exponent, int | Fraction] = {}
+        for e, c in self._terms.items():
+            k = e[p] // s[p]
+            r = tuple(x - k * y for x, y in zip(e, s)) if k else e
+            sums[r] = sums.get(r, 0) + c
+        return not any(sums.values())
+
     def try_exact_divide(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial | None":
         """Return q with q * divisor == self, or None when no such Laurent
         polynomial exists.
@@ -210,14 +242,14 @@ class LaurentPolynomial:
         lead_e = max(e for e, _ in div_terms)
         lead_c = dict(div_terms)[lead_e]
         rest = [(e, c) for e, c in div_terms if e != lead_e]
-        quot: dict[Exponent, Fraction] = {}
+        quot: dict[Exponent, int | Fraction] = {}
         while work:
             e = max(work)
             q_exp = tuple(a - b for a, b in zip(e, lead_e))
             if any(x < 0 for x in q_exp):
                 return None
-            q_c = work.pop(e) / lead_c
-            quot[q_exp] = quot.get(q_exp, Fraction(0)) + q_c
+            q_c = Fraction(work.pop(e)) / lead_c  # int / int would be a float
+            quot[q_exp] = quot.get(q_exp, 0) + q_c
             for de, dc in rest:
                 te = tuple(a + b for a, b in zip(q_exp, de))
                 s = work.get(te, 0) - q_c * dc

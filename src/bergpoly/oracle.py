@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _backend
-from .errors import NonConvergentError, WindowTooSmallError
+from .errors import NonConvergentError, WindowTooLargeError, WindowTooSmallError
 from .int_linalg import ValidatedMatrix
 from .kernel import BergmanKernelForm, assemble_kernel, eval_kernel
 from .laurent import LaurentPolynomial, product
@@ -146,6 +146,46 @@ def _squared_denominator(form: BergmanKernelForm) -> LaurentPolynomial:
     return product((f * f for f in form.factors), form.n)
 
 
+def _convolve(wide, dtype, dterms, num_terms, lo, hi, grid_lo, grid_hi, hull_lo):
+    """On the grid grid_lo..grid_hi, in accumulator dtype `dtype`: t, the
+    window part of the series (`wide`, filled over the hull from hull_lo)
+    times the squared denominator `dterms`; expected, the numerator
+    `num_terms`; and safe, where no admissible exponent outside the window
+    lo..hi contributes."""
+    grid_shape = tuple(h - l + 1 for l, h in zip(grid_lo, grid_hi))
+    if dtype == object:
+        wide = wide.astype(object)
+    t = np.zeros(grid_shape, dtype=dtype)
+    expected = np.zeros(grid_shape, dtype=dtype)
+
+    window_block = wide[
+        tuple(slice(l - h, u - h + 1) for h, l, u in zip(hull_lo, lo, hi))
+    ]
+    admissible = wide != 0
+
+    safe = np.ones(grid_shape, dtype=bool)
+    for d, c in dterms:
+        # Contribution of S(e - d): accumulate where e - d is in-window ...
+        tlo = tuple(l + x for l, x in zip(lo, d))
+        thi = tuple(u + x for u, x in zip(hi, d))
+        tsl = tuple(
+            slice(a - g, b - g + 1) for g, a, b in zip(grid_lo, tlo, thi)
+        )
+        t[tsl] += c * window_block
+        # ... and mark e unsafe where e - d is outside yet admissible.
+        adm_sl = tuple(
+            slice(gl - x - al, gh - x - al + 1)
+            for al, gl, gh, x in zip(hull_lo, grid_lo, grid_hi, d)
+        )
+        leak = admissible[adm_sl].copy()
+        leak[tsl] = False
+        safe &= ~leak
+
+    for e, c in num_terms.items():
+        expected[tuple(a - g for a, g in zip(e, grid_lo))] = c
+    return t, expected, safe
+
+
 def compare_with_closed_form(
     vm: ValidatedMatrix,
     window: Window,
@@ -196,47 +236,21 @@ def compare_with_closed_form(
     # Accumulator dtype: int64 only if the convolution provably fits.
     sum_abs_d = sum(abs(c) for _, c in dterms)
     t_bound = _backend.product_bound(adj_rows, hull_lo, hull_hi) * sum_abs_d
-    if wide.dtype == object or t_bound >= 2**62:
-        wide = wide.astype(object)
-        t = np.zeros(grid_shape, dtype=object)
-        expected = np.zeros(grid_shape, dtype=object)
-    else:
-        t = np.zeros(grid_shape, dtype=np.int64)
-        expected = np.zeros(grid_shape, dtype=np.int64)
-
-    def block(arr_lo, target_lo, target_hi):
-        """View of `wide` covering target_lo..target_hi (must be inside)."""
-        sl = tuple(
-            slice(tl - al, th - al + 1)
-            for al, tl, th in zip(arr_lo, target_lo, target_hi)
+    dtype = object if wide.dtype == object or t_bound >= 2**62 else np.int64
+    try:
+        t, expected, safe = _convolve(
+            wide, dtype, dterms, num_terms, lo, hi, grid_lo, grid_hi, hull_lo
         )
-        return wide[sl]
+        diff = safe & (t != expected)
+    except MemoryError:
+        points = math.prod(grid_shape)
+        nbytes = wide.size + points * (2 * np.dtype(dtype).itemsize + 1)
+        raise WindowTooLargeError(
+            f"the oracle comparison grid {grid_lo}..{grid_hi} has {points} points "
+            f"and needs at least {nbytes} bytes beside the hull, more than can "
+            "be allocated"
+        ) from None
 
-    window_block = block(hull_lo, lo, hi)
-    admissible = wide != 0
-
-    safe = np.ones(grid_shape, dtype=bool)
-    for d, c in dterms:
-        # Contribution of S(e - d): accumulate where e - d is in-window ...
-        tlo = tuple(l + x for l, x in zip(lo, d))
-        thi = tuple(u + x for u, x in zip(hi, d))
-        tsl = tuple(
-            slice(a - g, b - g + 1) for g, a, b in zip(grid_lo, tlo, thi)
-        )
-        t[tsl] += c * window_block
-        # ... and mark e unsafe where e - d is outside yet admissible.
-        adm_sl = tuple(
-            slice(gl - x - al, gh - x - al + 1)
-            for al, gl, gh, x in zip(hull_lo, grid_lo, grid_hi, d)
-        )
-        leak = admissible[adm_sl].copy()
-        leak[tsl] = False
-        safe &= ~leak
-
-    for e, c in num_terms.items():
-        expected[tuple(a - g for a, g in zip(e, grid_lo))] = c
-
-    diff = safe & (t != expected)
     mismatches = []
     for flat_idx in np.nonzero(diff.reshape(-1))[0]:
         offs = np.unravel_index(int(flat_idx), grid_shape)

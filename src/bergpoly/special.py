@@ -36,11 +36,6 @@ from .laurent import LaurentPolynomial
 from .tent import tent, tent_product_over_box
 
 
-def _int_box_terms(n, lower, upper, ks, weights, offsets):
-    terms = tent_product_over_box(lower, upper, ks, weights, offsets)
-    return LaurentPolynomial(n, {e: Fraction(c) for e, c in terms.items()})
-
-
 # -- det B = 1 -----------------------------------------------------------
 
 
@@ -57,8 +52,8 @@ def kernel_unimodular(vm: ValidatedMatrix) -> BergmanKernelForm:
     factors = []
     for j in range(n):
         factors.append(
-            LaurentPolynomial(n, {split.minus.row(j): Fraction(1)})
-            - LaurentPolynomial(n, {split.plus.row(j): Fraction(1)})
+            LaurentPolynomial(n, {split.minus.row(j): 1})
+            - LaurentPolynomial(n, {split.plus.row(j): 1})
         )
     return BergmanKernelForm(
         n=n,
@@ -111,9 +106,10 @@ def kernel_dim2(vm: ValidatedMatrix) -> BergmanKernelForm:
     upper = tuple(math.floor(max(c[i] for c in corners)) for i in range(2))
 
     weights = [[a11, a12], [a21, a22]]
-    numerator = _int_box_terms(2, lower, upper, [det_a, det_a], weights, const)
-    factor1 = LaurentPolynomial(2, {(0, a12): Fraction(1), (a22, 0): Fraction(-1)})
-    factor2 = LaurentPolynomial(2, {(a21, 0): Fraction(1), (0, a11): Fraction(-1)})
+    terms = tent_product_over_box(lower, upper, [det_a, det_a], weights, const)
+    numerator = LaurentPolynomial(2, terms)
+    factor1 = LaurentPolynomial(2, {(0, a12): 1, (a22, 0): -1})
+    factor2 = LaurentPolynomial(2, {(a21, 0): 1, (0, a11): -1})
     return BergmanKernelForm(
         n=2,
         det=vm.det,
@@ -197,14 +193,14 @@ def kernel_signature_one(spec: SignatureOneSpec) -> BergmanKernelForm:
     for j in range(1, n):
         # l_j(nu_j + 1) <= 2 l_j - 1 + 2K - l_1(nu_1 + 1), worst at nu_1 = 0
         upper.append((2 * ell[j] - 1 + 2 * big_k - ell[0]) // ell[j] - 1)
-    numerator = _int_box_terms(n, (0,) * n, tuple(upper), ks, weights, offsets)
+    terms = tent_product_over_box((0,) * n, tuple(upper), ks, weights, offsets)
+    numerator = LaurentPolynomial(n, terms)
 
-    head = {tuple([0] + [x for x in k[1:]]): Fraction(1)}
-    head[tuple([k[0]] + [0] * (n - 1))] = Fraction(-1)
+    head = {tuple([0] + [x for x in k[1:]]): 1, tuple([k[0]] + [0] * (n - 1)): -1}
     factors = [LaurentPolynomial(n, head)]
     for j in range(1, n):
         e = tuple(1 if i == j else 0 for i in range(n))
-        factors.append(LaurentPolynomial(n, {(0,) * n: Fraction(1), e: Fraction(-1)}))
+        factors.append(LaurentPolynomial(n, {(0,) * n: 1, e: -1}))
 
     vm = prepare(signature_matrix(spec))
     return BergmanKernelForm(
@@ -326,17 +322,18 @@ def kernel_generalized_hartogs(spec: GeneralizedHartogsSpec) -> BergmanKernelFor
         const = 2 * sum(m[: j + 1]) - sum(pprime[: j + 1]) + 1
         offsets.append(const - 2)
     bounds = chain_bounds(spec)
-    numerator = _int_box_terms(n, (0,) * n, bounds, m, weights, offsets)
+    terms = tent_product_over_box((0,) * n, bounds, m, weights, offsets)
+    numerator = LaurentPolynomial(n, terms)
 
     factors = []
     for j in range(n - 1):
         terms = {
-            tuple(p[j] // d[j] if i == j else 0 for i in range(n)): Fraction(1),
-            tuple(p[j + 1] // d[j] if i == j + 1 else 0 for i in range(n)): Fraction(-1),
+            tuple(p[j] // d[j] if i == j else 0 for i in range(n)): 1,
+            tuple(p[j + 1] // d[j] if i == j + 1 else 0 for i in range(n)): -1,
         }
         factors.append(LaurentPolynomial(n, terms))
     last = tuple(1 if i == n - 1 else 0 for i in range(n))
-    factors.append(LaurentPolynomial(n, {(0,) * n: Fraction(1), last: Fraction(-1)}))
+    factors.append(LaurentPolynomial(n, {(0,) * n: 1, last: -1}))
 
     vm = prepare(chain_matrix(spec))
     return BergmanKernelForm(

@@ -167,8 +167,10 @@ class TestVerify:
         assert serial == parallel
 
     def test_oversized_window_is_input_error(self):
-        # The 5x5 hull at radius 40 needs about 52 GiB; under a 3 GB address
-        # space limit its allocation fails and must end in one typed line.
+        # Under a 3 GB address space limit, the 5x5 hull at radius 40 (about
+        # 52 GiB) cannot be allocated; at radius 16 the hull (1.5 GB) is
+        # filled but the comparison's own arrays (1.7 GB more) cannot be.
+        # Either must end in one typed line.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
 
@@ -176,17 +178,19 @@ class TestVerify:
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         matrix = "2 -1 0 0 0 / 0 2 -1 0 0 / 0 0 2 -1 0 / 0 0 0 2 -1 / -1 0 0 0 2"
-        proc = subprocess.run(
-            [sys.executable, "-m", "bergpoly.cli", "verify", "--matrix", matrix,
-             "--window", "40"],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=limit_memory,
-        )
-        assert proc.returncode == 1
-        assert proc.stdout == ""
-        lines = proc.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("WindowTooLargeError: ")
-        assert "Traceback" not in proc.stderr
+        for window, stage in (("40", "the oracle hull"), ("16", "the oracle comparison grid")):
+            proc = subprocess.run(
+                [sys.executable, "-m", "bergpoly.cli", "verify", "--matrix", matrix,
+                 "--window", window],
+                env=env, capture_output=True, text=True, timeout=120,
+                preexec_fn=limit_memory,
+            )
+            assert proc.returncode == 1
+            assert proc.stdout == ""
+            lines = proc.stderr.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("WindowTooLargeError: " + stage)
+            assert "Traceback" not in proc.stderr
 
     def test_canonicity_exit_code(self, capsys, monkeypatch):
         from bergpoly.errors import CanonicityViolationError

@@ -8,6 +8,7 @@ import pytest
 from bergpoly import (
     BergmanKernelForm,
     EvaluationAtSingularityError,
+    GeneralizedHartogsSpec,
     IntMatrix,
     LaurentPolynomial,
     assemble_kernel,
@@ -17,6 +18,7 @@ from bergpoly import (
     eval_kernel,
     exponent_box,
     irreducibility_precondition,
+    kernel_generalized_hartogs,
     numerator_coefficient,
     numerator_polynomial,
     prepare,
@@ -96,6 +98,7 @@ class TestNumeratorPolynomial:
         for vm in sweep_family[:25]:
             num = numerator_polynomial(vm)
             for e, c in num.items():
+                assert type(c) is int
                 assert c == numerator_coefficient(vm, e)
 
 
@@ -168,6 +171,15 @@ class TestAssemble:
             assert canon.numerator == form.numerator
             assert canon.prefactor == form.prefactor
             assert canon.factors == form.factors
+
+    def test_canonicalized_folds_numerator_content(self):
+        # The assembled form keeps integer content in its numerator.
+        form = assemble_kernel(IntMatrix(((1, -3, 0), (0, 3, -1), (0, 0, 1))))
+        chain = kernel_generalized_hartogs(GeneralizedHartogsSpec((1, 3, 1)))
+        assert same_kernel(form, chain)
+        assert form.prefactor == Fraction(1, 9)
+        assert form.canonicalized().prefactor == Fraction(1, 3)
+        assert chain.canonicalized().prefactor == Fraction(1, 3)
 
 
 class TestCanonicity:

@@ -30,6 +30,19 @@ def small_polys(n=2, max_terms=4, span=2):
     )
 
 
+def binomials(n=2, span=3):
+    """c t^a - c t^b with a != b and c a nonzero Fraction."""
+    exps = st.tuples(*[st.integers(-span, span)] * n)
+    coeffs = st.fractions(
+        min_value=-4, max_value=4, max_denominator=3
+    ).filter(lambda c: c != 0)
+    return (
+        st.tuples(exps, exps, coeffs)
+        .filter(lambda t: t[0] != t[1])
+        .map(lambda t: P(n, {t[0]: t[2], t[1]: -t[2]}))
+    )
+
+
 def exists_quotient_up_to_degree(num, div, deg):
     """Brute-force oracle: is there q with support in exponents of total
     degree <= deg (componentwise in [0, deg]) and q * div == num?  Solves
@@ -139,6 +152,11 @@ class TestDivision:
         with pytest.raises(DivisionByZeroPolynomialError):
             P.one(2).try_exact_divide(P.zero(2))
 
+    def test_integer_operands_divide_exactly(self):
+        q = P(1, {(1,): 1, (0,): -1}).try_exact_divide(P(1, {(1,): 2, (0,): -2}))
+        assert q == P(1, {(0,): Fraction(1, 2)})
+        assert type(q.coefficient((0,))) is Fraction
+
     def test_laurent_shift_round_trip(self):
         q = poly(2, {(-1, 2): Fraction(2, 3), (0, 0): 1})
         d = poly(2, {(0, -1): 1, (-2, 0): -1})
@@ -151,6 +169,63 @@ class TestDivision:
         if d.is_zero():
             return
         assert (q * d).try_exact_divide(d) == q
+
+
+class TestBinomialDivisibility:
+    """divisible_by_binomial (coset sums) against try_exact_divide."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_polys(max_terms=6), binomials())
+    def test_matches_exact_division(self, num, f):
+        assert num.divisible_by_binomial(f) == (num.try_exact_divide(f) is not None)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_polys(max_terms=6), binomials())
+    def test_multiples_are_divisible(self, g, f):
+        assert (g * f).divisible_by_binomial(f)
+        assert (g * f).try_exact_divide(f) is not None
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            poly(2, {(0, 0): 1, (2, 2): -1}),  # a - b = (2, 2), not primitive
+            poly(2, {(0, 1): 1, (3, 0): -1}),  # pivot s_p = -3 < 0
+            poly(2, {(1, -1): 3, (-2, 0): -3}),  # c = 3, negative exponents
+            poly(3, {(0, 2, 0): Fraction(2, 3), (0, 0, 1): Fraction(-2, 3)}),
+        ],
+    )
+    def test_edge_divisors(self, f):
+        n = f.n
+        g = poly(n, {(1,) + (0,) * (n - 1): Fraction(1, 2), (0,) * n: Fraction(2, 3)})
+        t = poly(n, {(0,) * (n - 1) + (1,): 1})
+        cases = [g * f, f * f, g * f + t, g, f + t * f * f, P.zero(n)]
+        for num in cases:
+            want = num.try_exact_divide(f) is not None
+            assert num.divisible_by_binomial(f) == want
+        assert [num.divisible_by_binomial(f) for num in cases] == [
+            True, True, False, False, True, True
+        ]
+
+    def test_non_primitive_half_step(self):
+        # 1 - t^(1,1) divides 1 - t^(2,2), not the other way round
+        f = poly(2, {(0, 0): 1, (2, 2): -1})
+        half = poly(2, {(0, 0): 1, (1, 1): -1})
+        assert not half.divisible_by_binomial(f)
+        assert f.divisible_by_binomial(half)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            poly(2, {(0, 0): 1, (1, 0): -1, (0, 1): 1}),  # three terms
+            poly(2, {(1, 0): 1, (0, 1): 1}),  # t^a + t^b
+            poly(2, {(1, 0): 2, (0, 1): -1}),  # unequal magnitudes
+            poly(2, {(1, 0): 1}),  # a monomial
+            P.zero(2),
+        ],
+    )
+    def test_non_binomial_raises(self, f):
+        with pytest.raises(ValueError):
+            P.one(2).divisible_by_binomial(f)
 
 
 class TestEvaluate:
@@ -185,6 +260,14 @@ class TestMonomialConstructor:
 
     def test_zero_coeff(self):
         assert P.monomial(2, 0, (1, 1)).is_zero()
+
+    def test_integral_coefficients_are_int(self):
+        p = P(2, {(0, 0): Fraction(4, 2), (1, 0): 3, (0, 1): Fraction(1, 2)})
+        assert type(p.coefficient((0, 0))) is int
+        assert type(p.coefficient((1, 0))) is int
+        assert type(p.coefficient((0, 1))) is Fraction
+        assert type(p.coefficient((5, 5))) is int
+        assert all(type(c) is int for _, c in (p * 2).items())
 
     def test_rational_laurent(self):
         p = P.monomial(2, Fraction(3, 2), (1, -2))
