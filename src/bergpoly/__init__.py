@@ -22,7 +22,6 @@ from .errors import (
     SingularMatrixError,
     UnboundedDomainError,
     WindowTooLargeError,
-    WindowTooSmallError,
     WrongDimensionError,
 )
 from .int_linalg import (

@@ -3,10 +3,12 @@
 Commands: validate, kernel, eval, verify, special.  Results go to stdout
 (deterministic JSON by default; latex/text on request), diagnostics to
 stderr.  Exit codes: 0 success, 1 invalid input, 2 verification
-mismatch, 3 internal canonicity violation, 64 usage error.  A `verify`
-window whose oracle hull or comparison grid cannot be allocated is
-invalid input: exit 1 with one WindowTooLargeError line giving its point
-count and bytes.
+mismatch, 3 internal canonicity violation, 64 usage error.  `verify`
+compares every point of the window together with the numerator's
+bounding box (the report's `safeBox`), so no window is too small; one
+whose oracle hull or comparison grid cannot be allocated is invalid
+input: exit 1 with one WindowTooLargeError line giving its point count
+and bytes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
     EvaluationAtSingularityError,
     InputError,
     PoleAtZeroError,
-    WindowTooSmallError,
 )
 from .int_linalg import IntMatrix, matrix_to_json, parse_matrix, prepare
 from .kernel import assemble_kernel, eval_kernel
@@ -204,7 +205,7 @@ def main(argv=None) -> int:
     try:
         return _run(args)
     except (InputError, PoleAtZeroError, EvaluationAtSingularityError,
-            WindowTooSmallError, ValueError) as exc:
+            ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except CanonicityViolationError as exc:

@@ -69,9 +69,5 @@ class CanonicityViolationError(BergpolyError):
     """Internal consistency failure of an assembled kernel (a bug, not bad input)."""
 
 
-class WindowTooSmallError(BergpolyError):
-    """Oracle comparison window leaves an empty truncation-safe sub-box."""
-
-
 class NonConvergentError(BergpolyError):
     """Truncated kernel series failed the Cauchy criterion at the given radius."""

@@ -22,6 +22,13 @@ Reinhardt, the monomials are a complete orthogonal system and
 Every coefficient is a positive rational with denominator dividing det A;
 all comparisons against the closed form happen on the integer multiples
 det A * coefficient, so the whole pipeline is exact.
+
+The closed form is prefactor * N / prod_f f^2, so det A times the series,
+multiplied by every factor f twice, must equal N.  The fill gives the exact
+coefficient at every point of any box (0 where inadmissible), so the
+product is exact on a box as soon as the series is filled on that box
+widened by the squared denominator's exponent extents: the comparison
+never truncates, and every point of the window is checked.
 """
 
 from __future__ import annotations
@@ -34,10 +41,9 @@ from typing import Sequence
 import numpy as np
 
 from . import _backend
-from .errors import NonConvergentError, WindowTooLargeError, WindowTooSmallError
+from .errors import NonConvergentError, WindowTooLargeError
 from .int_linalg import ValidatedMatrix
 from .kernel import BergmanKernelForm, assemble_kernel, eval_kernel
-from .laurent import LaurentPolynomial, product
 
 
 @dataclass(frozen=True)
@@ -128,7 +134,9 @@ def oracle_series(vm: ValidatedMatrix, window: Window, jobs: int = 1) -> OracleS
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Outcome of one closed-form-vs-series comparison."""
+    """Outcome of one closed-form-vs-series comparison.  safe_lower and
+    safe_upper bound the compared box (the window together with the
+    numerator's bounding box); `checked` is its number of points."""
 
     checked: int
     matched: int
@@ -142,48 +150,33 @@ class OracleReport:
         return not self.mismatches
 
 
-def _squared_denominator(form: BergmanKernelForm) -> LaurentPolynomial:
-    return product((f * f for f in form.factors), form.n)
+def _accumulator_dtype(hull_bound: int, factors) -> type:
+    """int64 when every pass provably fits, object otherwise.  |S| <= hull_bound
+    on the hull, and a pass by f multiplies the largest |value| by at most
+    sum |c| over the terms of f; each factor is applied twice."""
+    growth = math.prod(sum(abs(c) for _, c in terms) for terms in factors) ** 2
+    return object if hull_bound * growth >= _backend._INT64_SAFE else np.int64
 
 
-def _convolve(wide, dtype, dterms, num_terms, lo, hi, grid_lo, grid_hi, hull_lo):
-    """On the grid grid_lo..grid_hi, in accumulator dtype `dtype`: t, the
-    window part of the series (`wide`, filled over the hull from hull_lo)
-    times the squared denominator `dterms`; expected, the numerator
-    `num_terms`; and safe, where no admissible exponent outside the window
-    lo..hi contributes."""
-    grid_shape = tuple(h - l + 1 for l, h in zip(grid_lo, grid_hi))
-    if dtype == object:
-        wide = wide.astype(object)
-    t = np.zeros(grid_shape, dtype=dtype)
-    expected = np.zeros(grid_shape, dtype=dtype)
-
-    window_block = wide[
-        tuple(slice(l - h, u - h + 1) for h, l, u in zip(hull_lo, lo, hi))
-    ]
-    admissible = wide != 0
-
-    safe = np.ones(grid_shape, dtype=bool)
-    for d, c in dterms:
-        # Contribution of S(e - d): accumulate where e - d is in-window ...
-        tlo = tuple(l + x for l, x in zip(lo, d))
-        thi = tuple(u + x for u, x in zip(hi, d))
-        tsl = tuple(
-            slice(a - g, b - g + 1) for g, a, b in zip(grid_lo, tlo, thi)
-        )
-        t[tsl] += c * window_block
-        # ... and mark e unsafe where e - d is outside yet admissible.
-        adm_sl = tuple(
-            slice(gl - x - al, gh - x - al + 1)
-            for al, gl, gh, x in zip(hull_lo, grid_lo, grid_hi, d)
-        )
-        leak = admissible[adm_sl].copy()
-        leak[tsl] = False
-        safe &= ~leak
-
-    for e, c in num_terms.items():
-        expected[tuple(a - g for a, g in zip(e, grid_lo))] = c
-    return t, expected, safe
+def _multiply(acc: np.ndarray, terms) -> np.ndarray:
+    """acc, dense over some box, times the Laurent polynomial sum c t^a over
+    `terms`: the shifted sum out[e] = sum c * acc[e - a], on the box where
+    every e - a lies in acc's box lo..hi, i.e. lo + max a .. hi + min a."""
+    amin = [min(x) for x in zip(*(a for a, _ in terms))]
+    amax = [max(x) for x in zip(*(a for a, _ in terms))]
+    shape = tuple(s - (h - l) for s, l, h in zip(acc.shape, amin, amax))
+    out = None
+    for a, c in terms:
+        part = acc[tuple(slice(h - x, h - x + s) for h, x, s in zip(amax, a, shape))]
+        if out is None:
+            out = part * c
+        elif c == 1:  # +-1, the coefficients of every binomial, need no temporary
+            out += part
+        elif c == -1:
+            out -= part
+        else:
+            out += part * c
+    return out
 
 
 def compare_with_closed_form(
@@ -192,83 +185,79 @@ def compare_with_closed_form(
     form: BergmanKernelForm | None = None,
     jobs: int = 1,
 ) -> OracleReport:
-    """Multiply the truncated oracle series by the squared denominator and
-    compare against the closed-form numerator, exactly, zeros included.
+    """Multiply the oracle series by the squared denominator and compare it
+    with the closed-form numerator, exactly, zeros included, at every point
+    of the compared box: the window together with the numerator's bounding
+    box.
 
-    A grid point e is compared only when provably uncontaminated by the
-    window truncation: every contribution at m = e - d (d in the support
-    of the squared denominator) must either lie inside the window or be
-    inadmissible, i.e. have exact coefficient zero by the norm formula.
-    The conservative safe box (window shrunk by the min/max exponents of
-    the squared denominator) is always contained in that region and is
-    what the report carries; an empty conservative box raises
-    WindowTooSmallError.
+    Nothing is truncated.  The series is filled over the hull, the compared
+    box widened by the squared denominator's exponent extents (twice the
+    sum over the factors of their per-coordinate min/max exponents), and
+    the fill is exact at every hull point, 0 where a point is
+    inadmissible.  Each factor then multiplies the hull twice, one shifted
+    sum per pass, and after the 2n passes the array covers exactly the
+    compared box.  The report's safe box is the compared box, and
+    `checked` counts its points; no window is too small.
+
+    The accumulator is int64 when product_bound(hull) * prod_f (sum |c_f|)^2
+    < 2**62 (4**n for +-1 binomials), exact Python integers otherwise.
     """
     if form is None:
         form = assemble_kernel(vm)
     n = vm.n
     det_adj = vm.det ** (n - 1)
-    denom = _squared_denominator(form)
-    dterms = [(e, int(c)) for e, c in denom.sorted_terms()]
-    dmin = denom.min_exponents()
-    dmax = denom.max_exponents()
-    lo, hi = window.lower, window.upper
+    factors = [[(e, int(c)) for e, c in f.items()] for f in form.factors]
+    dmin = [2 * sum(x) for x in zip(*(f.min_exponents() for f in form.factors))]
+    dmax = [2 * sum(x) for x in zip(*(f.max_exponents() for f in form.factors))]
+    num = form.numerator
+    lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
+    hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
 
-    safe_lower = tuple(l + d for l, d in zip(lo, dmax))
-    safe_upper = tuple(u + d for u, d in zip(hi, dmin))
-    if any(l > u for l, u in zip(safe_lower, safe_upper)):
-        raise WindowTooSmallError(
-            f"no truncation-safe sub-box inside window {lo}..{hi}"
-        )
-
-    num_terms = {e: int(c) for e, c in form.numerator.items()}
-    num_min = form.numerator.min_exponents()
-    num_max = form.numerator.max_exponents()
-    grid_lo = tuple(min(a + b, c) for a, b, c in zip(lo, dmin, num_min))
-    grid_hi = tuple(max(a + b, c) for a, b, c in zip(hi, dmax, num_max))
-    grid_shape = tuple(h - l + 1 for l, h in zip(grid_lo, grid_hi))
-
-    hull_lo = tuple(g - d for g, d in zip(grid_lo, dmax))
-    hull_hi = tuple(g - d for g, d in zip(grid_hi, dmin))
+    hull_lo = tuple(l - d for l, d in zip(lo, dmax))
+    hull_hi = tuple(h - d for h, d in zip(hi, dmin))
     adj_rows = [list(r) for r in vm.adj.rows]
-    wide = _backend.fill_products(adj_rows, hull_lo, hull_hi, jobs=jobs)
-
-    # Accumulator dtype: int64 only if the convolution provably fits.
-    sum_abs_d = sum(abs(c) for _, c in dterms)
-    t_bound = _backend.product_bound(adj_rows, hull_lo, hull_hi) * sum_abs_d
-    dtype = object if wide.dtype == object or t_bound >= 2**62 else np.int64
+    acc = _backend.fill_products(adj_rows, hull_lo, hull_hi, jobs=jobs)
+    dtype = _accumulator_dtype(
+        _backend.product_bound(adj_rows, hull_lo, hull_hi), factors
+    )
+    terms = [(e, int(c)) for e, c in num.items()]
+    idx = tuple(
+        np.array([e[i] - lo[i] for e, _ in terms], dtype=np.intp) for i in range(n)
+    )
     try:
-        t, expected, safe = _convolve(
-            wide, dtype, dterms, num_terms, lo, hi, grid_lo, grid_hi, hull_lo
-        )
-        diff = safe & (t != expected)
+        acc = acc.astype(dtype, copy=False)
+        for f in factors:
+            acc = _multiply(acc, f)
+            acc = _multiply(acc, f)
+        got = acc[idx]
+        acc[idx] = 0  # what is left must vanish: the numerator has no term there
+        extra = np.flatnonzero(acc)
     except MemoryError:
-        points = math.prod(grid_shape)
-        nbytes = wide.size + points * (2 * np.dtype(dtype).itemsize + 1)
+        points = math.prod(shape)
         raise WindowTooLargeError(
-            f"the oracle comparison grid {grid_lo}..{grid_hi} has {points} points "
-            f"and needs at least {nbytes} bytes beside the hull, more than can "
-            "be allocated"
+            f"the oracle comparison grid {lo}..{hi} has {points} points; "
+            f"multiplying the hull by the denominator needs at least "
+            f"{points * np.dtype(dtype).itemsize} bytes beside the hull, more "
+            "than can be allocated"
         ) from None
 
-    mismatches = []
-    for flat_idx in np.nonzero(diff.reshape(-1))[0]:
-        offs = np.unravel_index(int(flat_idx), grid_shape)
-        e = tuple(g + int(o) for g, o in zip(grid_lo, offs))
-        mismatches.append(
-            (
-                e,
-                Fraction(int(expected[offs]), det_adj),
-                Fraction(int(t[offs]), det_adj),
-            )
-        )
-    checked = int(safe.sum())
+    wrong = {e: (c, int(g)) for (e, c), g in zip(terms, got) if g != c}
+    flat = acc.reshape(-1)
+    for i in extra:
+        offs = np.unravel_index(int(i), shape)
+        wrong[tuple(l + int(o) for l, o in zip(lo, offs))] = (0, int(flat[i]))
+    mismatches = tuple(
+        (e, Fraction(c, det_adj), Fraction(g, det_adj))
+        for e, (c, g) in sorted(wrong.items())
+    )
+    checked = math.prod(shape)
     return OracleReport(
         checked=checked,
         matched=checked - len(mismatches),
-        mismatches=tuple(mismatches),
-        safe_lower=safe_lower,
-        safe_upper=safe_upper,
+        mismatches=mismatches,
+        safe_lower=lo,
+        safe_upper=hi,
         window=window,
     )
 

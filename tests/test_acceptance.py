@@ -40,7 +40,6 @@ from bergpoly.families import (
 )
 from bergpoly.int_linalg import adjugate, row_gcd
 from bergpoly.kernel import exponent_box
-from bergpoly.oracle import _squared_denominator
 from bergpoly.special import chain_matrix, signature_matrix
 
 from conftest import sample_interior_point
@@ -51,8 +50,9 @@ def report(num, message):
 
 
 def sweep_window(form):
-    den = _squared_denominator(form)
-    dmin, dmax = den.min_exponents(), den.max_exponents()
+    # the squared denominator's per-coordinate exponent extents
+    dmin = [2 * sum(x) for x in zip(*(f.min_exponents() for f in form.factors))]
+    dmax = [2 * sum(x) for x in zip(*(f.max_exponents() for f in form.factors))]
     radii = [max(3 * (b - a), 1) for a, b in zip(dmin, dmax)]
     return Window.of([-r for r in radii], radii)
 

@@ -168,8 +168,8 @@ class TestVerify:
 
     def test_oversized_window_is_input_error(self):
         # Under a 3 GB address space limit, the 5x5 hull at radius 40 (about
-        # 52 GiB) cannot be allocated; at radius 16 the hull (1.5 GB) is
-        # filled but the comparison's own arrays (1.7 GB more) cannot be.
+        # 40 GB) cannot be allocated; at radius 19 the hull (1.5 GB) is
+        # filled but the first pass over it (1.4 GB more) cannot be.
         # Either must end in one typed line.
         def limit_memory():
             resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
@@ -178,7 +178,7 @@ class TestVerify:
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         matrix = "2 -1 0 0 0 / 0 2 -1 0 0 / 0 0 2 -1 0 / 0 0 0 2 -1 / -1 0 0 0 2"
-        for window, stage in (("40", "the oracle hull"), ("16", "the oracle comparison grid")):
+        for window, stage in (("40", "the oracle hull"), ("19", "the oracle comparison grid")):
             proc = subprocess.run(
                 [sys.executable, "-m", "bergpoly.cli", "verify", "--matrix", matrix,
                  "--window", window],

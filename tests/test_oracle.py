@@ -1,7 +1,9 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -9,7 +11,6 @@ from bergpoly import (
     IntMatrix,
     NonConvergentError,
     Window,
-    WindowTooSmallError,
     assemble_kernel,
     compare_with_closed_form,
     monomial_norm,
@@ -17,6 +18,7 @@ from bergpoly import (
     oracle_series,
     prepare,
 )
+from bergpoly import _backend, oracle
 from bergpoly.kernel import BergmanKernelForm
 from bergpoly.laurent import LaurentPolynomial
 
@@ -133,7 +135,8 @@ class TestCompare:
     def test_hartogs_spec_window(self, hartogs_vm):
         rep = compare_with_closed_form(hartogs_vm, Window.of((-2, -2), (10, 10)))
         assert rep.ok and rep.checked > 0
-        assert rep.safe_lower == (0, 2) and rep.safe_upper == (10, 10)
+        assert rep.safe_lower == (-2, -2) and rep.safe_upper == (10, 10)
+        assert rep.checked == 13 * 13
 
     def test_worked_spec_window(self, worked_vm):
         rep = compare_with_closed_form(worked_vm, Window.of((-2, -2), (12, 12)))
@@ -170,9 +173,49 @@ class TestCompare:
             if e == (1, 1):
                 assert closed == 1 and oracle == 2  # scaled by 1/det A = 1/2
 
-    def test_window_too_small(self, worked_vm):
-        with pytest.raises(WindowTooSmallError):
-            compare_with_closed_form(worked_vm, Window.cube(2, 1))
+    def test_small_windows(self, worked_vm):
+        # the numerator's box (0, 0)..(2, 2) is always compared as well
+        for radius, lower, checked in ((0, (0, 0), 9), (1, (-1, -1), 16)):
+            rep = compare_with_closed_form(worked_vm, Window.cube(2, radius))
+            assert rep.ok and rep.checked == rep.matched == checked
+            assert rep.safe_lower == lower and rep.safe_upper == (2, 2)
+
+    def test_detects_denominator_corruption(self, worked_vm):
+        # t^(0,1) - t^(2,0) replaced by t^(0,1) - t^(3,0)
+        form = assemble_kernel(worked_vm)
+        wrong = LaurentPolynomial(2, {(0, 1): 1, (3, 0): -1})
+        tampered = dataclasses.replace(form, factors=(wrong,) + form.factors[1:])
+        rep = compare_with_closed_form(
+            worked_vm, Window.of((-2, -2), (12, 12)), form=tampered
+        )
+        assert len(rep.mismatches) == 17 and rep.matched == rep.checked - 17
+        found = {e: (closed, oracle) for e, closed, oracle in rep.mismatches}
+        assert found[(2, 0)] == (Fraction(1, 2), Fraction(3, 2))  # a numerator term
+        assert found[(3, 0)] == (0, 3)  # no numerator term there
+
+    def test_accumulator_dtype_edge(self):
+        monomial = [((0,), 1)]
+        binomial = [((0,), 1), ((1,), -1)]
+        assert oracle._accumulator_dtype(2**62 - 1, [monomial]) is np.int64
+        assert oracle._accumulator_dtype(2**62, [monomial]) is object
+        # a +-1 binomial at most doubles |value| per pass, so 4x in all
+        assert oracle._accumulator_dtype(2**60 - 1, [binomial]) is np.int64
+        assert oracle._accumulator_dtype(2**60, [binomial]) is object
+
+    def test_multiply_int64_matches_object(self, worked_vm):
+        adj = [list(r) for r in worked_vm.adj.rows]
+        hull = _backend.fill_products(adj, (-4, -3), (9, 8))
+        terms = [((0, 1), 1), ((2, 0), -1), ((1, 1), 3)]
+        small = oracle._multiply(hull.astype(np.int64), terms)
+        big = oracle._multiply(hull.astype(object), terms)
+        assert small.dtype == np.int64 and big.dtype == object
+        assert small.shape == big.shape == (12, 11)
+        assert all(int(a) == b for a, b in zip(small.reshape(-1), big.reshape(-1)))
+        # out[e] = sum c * hull[e - a] on the shrunk box, checked at one point
+        e = (5, 4)  # index (5, 4) - ((-4, -3) + (2, 1)) = (7, 6)
+        want = sum(c * hull[tuple(x - a - l for x, a, l in zip(e, ex, (-4, -3)))]
+                   for ex, c in terms)
+        assert big[7, 6] == want
 
     def test_jobs_deterministic(self, worked_vm):
         w = Window.of((-2, -2), (12, 12))
