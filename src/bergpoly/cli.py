@@ -14,6 +14,7 @@ and bytes.
 from __future__ import annotations
 
 import argparse
+import cmath
 import sys
 from pathlib import Path
 
@@ -104,7 +105,10 @@ def _parse_point(text: str) -> list[complex]:
     out = []
     for tok in text.split(","):
         tok = tok.strip().replace("i", "j").replace(" ", "")
-        out.append(complex(tok))
+        z = complex(tok)
+        if not cmath.isfinite(z):
+            raise InputError(f"point coordinate {tok!r} is not finite")
+        out.append(z)
     return out
 
 
@@ -126,13 +130,12 @@ def _emit_form(form, fmt: str) -> str:
 
 
 def _default_radius(form) -> int:
-    spread = 0
-    for f in form.factors:
-        sq = f * f
-        spread = max(
-            spread,
-            max(h - l for l, h in zip(sq.min_exponents(), sq.max_exponents())),
-        )
+    # f = t^a - t^b squares to t^2a - 2t^(a+b) + t^2b: twice f's spread
+    spread = max(
+        (2 * (h - l) for f in form.factors
+         for l, h in zip(f.min_exponents(), f.max_exponents())),
+        default=0,
+    )
     return max(3 * spread, 1)
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     AllZeroRowError,
+    InputError,
     MatrixTooLargeError,
     SingularMatrixError,
     UnboundedDomainError,
@@ -281,6 +282,10 @@ def parse_matrix(text: str) -> IntMatrix:
         raise ValueError("empty matrix")
     if stripped.startswith("["):
         data = json.loads(stripped)
+        if not isinstance(data, list) or not all(
+            isinstance(row, list) and all(type(x) is int for x in row) for row in data
+        ):
+            raise InputError("a JSON matrix must be an array of arrays of integers")
         return IntMatrix(data)
     if "/" in stripped:
         row_texts = stripped.split("/")

@@ -100,10 +100,6 @@ class LaurentPolynomial:
             return (0,) * self.n
         return tuple(max(e[i] for e in self._terms) for i in range(self.n))
 
-    def leading_term(self) -> tuple[Exponent, int | Fraction]:
-        e = max(self._terms)
-        return e, self._terms[e]
-
     def sign_normalized(self) -> "LaurentPolynomial":
         """Negated if needed so the lex-leading coefficient is positive."""
         if not self._terms:

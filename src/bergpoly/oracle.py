@@ -24,11 +24,13 @@ all comparisons against the closed form happen on the integer multiples
 det A * coefficient, so the whole pipeline is exact.
 
 The closed form is prefactor * N / prod_f f^2, so det A times the series,
-multiplied by every factor f twice, must equal N.  The fill gives the exact
-coefficient at every point of any box (0 where inadmissible), so the
-product is exact on a box as soon as the series is filled on that box
-widened by the squared denominator's exponent extents: the comparison
-never truncates, and every point of the window is checked.
+multiplied by every factor f twice, must equal det A * prefactor * N; with
+det A * prefactor = p/q in lowest terms, q times that product is compared
+with p * N.  The fill gives the exact coefficient at every point of any
+box (0 where inadmissible), so the product is exact on a box as soon as
+the series is filled on that box widened by the squared denominator's
+exponent extents: the comparison never truncates, and every point of the
+window is checked.
 """
 
 from __future__ import annotations
@@ -188,7 +190,10 @@ def compare_with_closed_form(
     """Multiply the oracle series by the squared denominator and compare it
     with the closed-form numerator, exactly, zeros included, at every point
     of the compared box: the window together with the numerator's bounding
-    box.
+    box.  The form may carry any prefactor: with det A * prefactor = p/q,
+    q * (det A * series) * denominator is compared with p * numerator, and
+    mismatches are reported as coefficients of the series times the
+    denominator, closed form first.
 
     Nothing is truncated.  The series is filled over the hull, the compared
     box widened by the squared denominator's exponent extents (twice the
@@ -206,6 +211,8 @@ def compare_with_closed_form(
         form = assemble_kernel(vm)
     n = vm.n
     det_adj = vm.det ** (n - 1)
+    ratio = det_adj * Fraction(form.prefactor)
+    p, q = ratio.numerator, ratio.denominator
     factors = [[(e, int(c)) for e, c in f.items()] for f in form.factors]
     dmin = [2 * sum(x) for x in zip(*(f.min_exponents() for f in form.factors))]
     dmax = [2 * sum(x) for x in zip(*(f.max_exponents() for f in form.factors))]
@@ -242,13 +249,14 @@ def compare_with_closed_form(
             "than can be allocated"
         ) from None
 
-    wrong = {e: (c, int(g)) for (e, c), g in zip(terms, got) if g != c}
+    # p and q scale Python integers only, so the accumulator's bound holds
+    wrong = {e: (c, g) for (e, c), g in zip(terms, got.tolist()) if q * g != p * c}
     flat = acc.reshape(-1)
     for i in extra:
         offs = np.unravel_index(int(i), shape)
         wrong[tuple(l + int(o) for l, o in zip(lo, offs))] = (0, int(flat[i]))
     mismatches = tuple(
-        (e, Fraction(c, det_adj), Fraction(g, det_adj))
+        (e, Fraction(p * c, q * det_adj), Fraction(g, det_adj))
         for e, (c, g) in sorted(wrong.items())
     )
     checked = math.prod(shape)

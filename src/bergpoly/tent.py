@@ -1,16 +1,31 @@
-"""Triangular ("tent") coefficient sequence and box-product evaluation.
+"""Triangular ("tent") coefficient sequence and products of tent values.
 
 tent(k, r) is the coefficient of x^r in ((1 - x^k)/(1 - x))^2, i.e. in
 (1 + x + ... + x^(k-1))^2: it climbs 1, 2, ..., k at r = 0..k-1, descends
 back to 1 at r = 2k-2 and vanishes outside [0, 2k-2].  Every numerator
 coefficient produced in this package is a product of tent values with
-affine integer arguments, so the module also provides a vectorized
-evaluator of such products over an integer box.
+affine integer arguments a_j(v) = (v @ w)_j + off_j, so the module also
+enumerates the nonzero such products over an integer box.
+
+The enumerator fixes v_0, v_1, ... in turn.  The later coordinates can
+still move a_j by rest_lo..rest_hi (the extremes of sum_(l>i) v_l w_lj
+over the box), so v_i must keep a_j + rest_lo <= 2k_j - 2 and a_j +
+rest_hi >= 0: an interval when w_ij != 0 (a ceil and a floor division by
+|w_ij|), cut to the box.  A factor with w_ij = 0 keeps the condition it
+met earlier, and one with all weights 0 is a constant, checked once.  At
+the last coordinate the rests are 0 and the intervals exact, so every
+point produced is in the support and no zero is ever evaluated.
+
+Both dtypes share the path: int64 when max(prod_j k_j, r_i, |off_j| + 2k_j
++ sum_i r_i |w_ij|) < 2**62, r_i = max(|lower_i|, |upper_i|), else exact
+Python integers.  The last term bounds every partial argument, rest and
+interval end, r_i every coordinate and prod_j k_j every product of tent
+values (each at most k_j); so a difference of two stays below 2**63.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +37,7 @@ _INT64_SAFE = 2**62
 
 def tent(k: int, r: int) -> int:
     """Closed-form branch evaluation; r may be any integer, also far outside
-    the support (the box scans rely on that)."""
+    the support."""
     if k < 1:
         raise InvalidKError(f"k must be >= 1, got {k}")
     if 0 <= r <= k - 1:
@@ -45,10 +60,12 @@ def tent_coefficients(k: int) -> list[int]:
     return out
 
 
-def _tent_vec(ks: np.ndarray, r: np.ndarray) -> np.ndarray:
-    up = (r >= 0) & (r <= ks - 1)
-    down = (r >= ks) & (r <= 2 * ks - 2)
-    return np.where(up, 1 + r, np.where(down, 2 * ks - (1 + r), 0))
+def _dtype(lower, upper, ks, weights, offsets) -> type:
+    """object when the bound of the module docstring reaches 2**62, else int64."""
+    reach = [max(abs(lo), abs(hi)) for lo, hi in zip(lower, upper)]
+    args = [abs(o) + 2 * k + sum(r * abs(w[j]) for r, w in zip(reach, weights))
+            for j, (k, o) in enumerate(zip(ks, offsets))]
+    return object if max([math.prod(ks), *reach, *args]) >= _INT64_SAFE else np.int64
 
 
 def tent_product_over_box(
@@ -58,73 +75,54 @@ def tent_product_over_box(
     weights: Sequence[Sequence[int]],
     offsets: Sequence[int],
 ) -> dict[tuple[int, ...], int]:
-    """Evaluate prod_j tent(ks[j], (v @ weights)_j + offsets[j]) over the box
-    lower <= v <= upper, returning only the nonzero values keyed by v.
-
-    weights has one row per box coordinate and one column per factor.
-    Runs vectorized in int64 when an a-priori bound (computed in exact
-    Python integers from the box corners) fits; otherwise falls back to
-    an exact scalar sweep, so results are always exact.
-    """
-    lower = tuple(int(x) for x in lower)
-    upper = tuple(int(x) for x in upper)
-    if any(lo > hi for lo, hi in zip(lower, upper)):
+    """The nonzero values of prod_j tent(ks[j], (v @ weights)_j + offsets[j])
+    over the box lower <= v <= upper, keyed by v in lexicographic order.
+    weights has one row per box coordinate and one column per factor; the
+    enumeration and its dtype are described in the module docstring."""
+    lower, upper, ks, offsets = ([int(x) for x in s] for s in (lower, upper, ks, offsets))
+    weights = [[int(x) for x in row] for row in weights]
+    if min(ks, default=1) < 1:
+        raise InvalidKError(f"k must be >= 1, got {min(ks)}")
+    if any(lo > hi for lo, hi in zip(lower, upper)) or any(
+        tent(k, o) == 0 for k, o, col in zip(ks, offsets, zip(*weights)) if not any(col)
+    ):
         return {}
-    for k in ks:
-        if k < 1:
-            raise InvalidKError(f"k must be >= 1, got {k}")
 
-    nvars = len(lower)
-    nfac = len(ks)
-    # Affine arguments are extremal at box corners; coordinates separate.
-    safe = all(k < _INT64_SAFE for k in ks)
-    for j in range(nfac):
-        hi_arg = sum(max(lower[i] * weights[i][j], upper[i] * weights[i][j]) for i in range(nvars))
-        lo_arg = sum(min(lower[i] * weights[i][j], upper[i] * weights[i][j]) for i in range(nvars))
-        if max(abs(hi_arg + offsets[j]), abs(lo_arg + offsets[j])) >= _INT64_SAFE:
-            safe = False
-    prod_bound = 1
-    for k in ks:
-        prod_bound *= k
-    if prod_bound >= _INT64_SAFE:
-        safe = False
+    n, m = len(lower), len(ks)
+    dtype = _dtype(lower, upper, ks, weights, offsets)
+    # steps[i] holds sign(w), -sign(w), p, q and |w| for w = w_ij, one column
+    # per factor: v_i |w| must lie in [-(sign(w) a + p), q - sign(w) a], with
+    # cap = 2k - 2 - rest_lo; a zero weight yields the box ends instead.
+    steps = []
+    rest_lo, rest_hi = [0] * m, [0] * m
+    for i in reversed(range(n)):
+        cols = []
+        for j, x in enumerate(weights[i]):
+            cap = 2 * ks[j] - 2 - rest_lo[j]
+            pq = (rest_hi[j], cap) if x > 0 else (cap, rest_hi[j]) if x else (-lower[i], upper[i])
+            cols.append(((x > 0) - (x < 0), (x < 0) - (x > 0), *pq, abs(x) or 1))
+            rest_lo[j] += min(lower[i] * x, upper[i] * x)
+            rest_hi[j] += max(lower[i] * x, upper[i] * x)
+        steps.append(list(zip(*cols)))
+    steps = np.array(steps[::-1], dtype=dtype)
+    box = np.array([(-lo, hi) for lo, hi in zip(lower, upper)], dtype=dtype)
+    w = np.array(weights, dtype=dtype)
 
-    if not safe:
-        return _scalar_sweep(lower, upper, ks, weights, offsets)
+    # rows: the prefixes, coordinates in columns :n and partial arguments after
+    rows = np.zeros((1, n + m), dtype=dtype)
+    rows[0, n:] = offsets
+    for i, step in enumerate(steps):
+        # -low and high of every prefix's interval for v_i
+        neg_low, high = np.minimum(
+            ((rows[:, None, n:] * step[:2] + step[2:4]) // step[4]).min(axis=2), box[i]
+        ).T
+        counts = np.maximum(neg_low + high + 1, 0).astype(np.intp, copy=False)
+        rows = rows.repeat(counts, axis=0)
+        v = np.arange(len(rows)) - (np.cumsum(counts) - counts + neg_low).repeat(counts)
+        rows[:, i] = v
+        rows[:, n:] += np.multiply.outer(v, w[i])
 
-    w = np.asarray(weights, dtype=np.int64)
-    off = np.asarray(offsets, dtype=np.int64)
-    karr = np.asarray(ks, dtype=np.int64)
-    out: dict[tuple[int, ...], int] = {}
-    # Slab over the first coordinate to bound peak memory.
-    tail_axes = [np.arange(lower[i], upper[i] + 1, dtype=np.int64) for i in range(1, nvars)]
-    if tail_axes:
-        mesh = np.meshgrid(*tail_axes, indexing="ij")
-        tail = np.stack([g.reshape(-1) for g in mesh], axis=1)
-    else:
-        tail = np.zeros((1, 0), dtype=np.int64)
-    for v0 in range(lower[0], upper[0] + 1):
-        coords = np.concatenate(
-            [np.full((tail.shape[0], 1), v0, dtype=np.int64), tail], axis=1
-        )
-        args = coords @ w + off
-        vals = _tent_vec(karr, args).prod(axis=1)
-        for idx in np.nonzero(vals)[0]:
-            out[tuple(int(c) for c in coords[idx])] = int(vals[idx])
-    return out
-
-
-def _scalar_sweep(lower, upper, ks, weights, offsets):
-    out = {}
-    ranges = [range(lo, hi + 1) for lo, hi in zip(lower, upper)]
-    nfac = len(ks)
-    for v in itertools.product(*ranges):
-        val = 1
-        for j in range(nfac):
-            arg = offsets[j] + sum(v[i] * weights[i][j] for i in range(len(v)))
-            val *= tent(ks[j], arg)
-            if val == 0:
-                break
-        if val:
-            out[v] = val
-    return out
+    # every argument r lies in [0, 2k - 2], where tent(k, r) = k - |r - k + 1|
+    k = np.array(ks, dtype=dtype)
+    vals = (k - abs(rows[:, n:] - (k - 1))).prod(axis=1)
+    return dict(zip(map(tuple, rows[:, :n].tolist()), vals.tolist()))

@@ -144,7 +144,10 @@ class TestVerify:
 
     def test_default_window(self, capsys):
         code, out, _ = run(capsys, "verify", "--matrix", "1 -1 / 0 1")
-        assert code == 0 and json.loads(out)["mismatches"] == []
+        data = json.loads(out)
+        assert code == 0 and data["mismatches"] == []
+        # radius 3 * 2: the squared factors (t2 - t1)^2 and (1 - t2)^2 span 2
+        assert data["safeBox"] == {"lower": [-6, -6], "upper": [6, 6]}
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         fake = OracleReport(
@@ -241,3 +244,20 @@ class TestUsage:
     def test_bad_params(self, capsys):
         code, _, _ = run(capsys, "special", "--family", "pz", "--params", "a,b")
         assert code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--matrix", "[1,2]"),
+        ("kernel", "--matrix", "[[1,0],[0,1e400]]"),
+        ("kernel", "--matrix", "[[1.5,0],[0,1]]"),
+        ("kernel", "--matrix", "[[true,0],[0,1]]"),
+        ("kernel", "--matrix", '[[1,0],[0,"2"]]'),
+        ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.1,nan"),
+    ],
+)
+def test_malformed_input_is_input_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("InputError: ")

@@ -16,11 +16,13 @@ from bergpoly import (
     monomial_norm,
     numeric_spot_check,
     oracle_series,
+    parse_matrix,
     prepare,
 )
 from bergpoly import _backend, oracle
 from bergpoly.kernel import BergmanKernelForm
 from bergpoly.laurent import LaurentPolynomial
+from bergpoly.special import SignatureOneSpec, kernel_signature_one, signature_matrix
 
 from conftest import sample_interior_point
 
@@ -192,6 +194,26 @@ class TestCompare:
         found = {e: (closed, oracle) for e, closed, oracle in rep.mismatches}
         assert found[(2, 0)] == (Fraction(1, 2), Fraction(3, 2))  # a numerator term
         assert found[(3, 0)] == (0, 3)  # no numerator term there
+
+    def test_prefactor_honoured(self):
+        # kernel-equal forms whose prefactor is not 1/det A
+        vm = prepare(parse_matrix("1 -3 0 / 0 3 -1 / 0 0 1"))
+        form = assemble_kernel(vm).canonicalized()
+        assert form.prefactor == Fraction(1, 3)
+        assert compare_with_closed_form(vm, Window.cube(3, 4), form=form).ok
+        spec = SignatureOneSpec((2, 3, 5))
+        vm = prepare(signature_matrix(spec))
+        rep = compare_with_closed_form(vm, Window.cube(3, 3), form=kernel_signature_one(spec))
+        assert rep.ok and rep.matched == rep.checked
+
+    def test_prefactor_scales_reported_values(self, worked_vm):
+        # doubling the prefactor doubles every closed-form coefficient
+        form = assemble_kernel(worked_vm)
+        doubled = dataclasses.replace(form, prefactor=2 * form.prefactor)
+        rep = compare_with_closed_form(worked_vm, Window.cube(2, 0), form=doubled)
+        found = {e: (closed, oracle) for e, closed, oracle in rep.mismatches}
+        assert len(found) == len(form.numerator)
+        assert found[(1, 1)] == (4, 2)  # numerator 4, scaled by 2 * 1/2
 
     def test_accumulator_dtype_edge(self):
         monomial = [((0,), 1)]

@@ -1,9 +1,12 @@
+import itertools
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from bergpoly import InvalidKError, tent, tent_coefficients
-from bergpoly.tent import tent_product_over_box, _scalar_sweep
+from bergpoly.tent import _dtype, tent_product_over_box
 
 
 class TestTent:
@@ -66,19 +69,70 @@ class TestTent:
         assert tent(k, r) >= 0
 
 
+def scalar_products(lower, upper, ks, weights, offsets):
+    """Reference: every box point in lexicographic order, evaluated by tent()
+    in Python integers, zeros dropped."""
+    out = {}
+    for v in itertools.product(*(range(lo, hi + 1) for lo, hi in zip(lower, upper))):
+        val = 1
+        for j, (k, off) in enumerate(zip(ks, offsets)):
+            val *= tent(k, off + sum(x * w[j] for x, w in zip(v, weights)))
+        if val:
+            out[v] = val
+    return out
+
+
+@st.composite
+def box_products(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 4))
+    lower = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+    # widths from -1 (an empty box) to 5
+    upper = [lo + draw(st.integers(-1, 5)) for lo in lower]
+    ks = draw(st.lists(st.integers(1, 6), min_size=m, max_size=m))
+    weight = st.integers(-3, 3)  # zero and negative weights included
+    weights = draw(st.lists(st.lists(weight, min_size=m, max_size=m), min_size=n, max_size=n))
+    offsets = draw(st.lists(st.integers(-10, 10), min_size=m, max_size=m))
+    # a common scale of ks and offsets keeps the support and pushes the
+    # dtype bound past 2**62
+    scale = draw(st.sampled_from([1, 2**58, 2**61, 2**64]))
+    return lower, upper, [k * scale for k in ks], weights, [o * scale for o in offsets]
+
+
 class TestBoxProduct:
-    def test_matches_scalar_sweep(self):
-        lower, upper = (-2, 0), (3, 4)
-        ks = [3, 5]
-        weights = [[2, -1], [0, 3]]
-        offsets = [-1, 2]
-        fast = tent_product_over_box(lower, upper, ks, weights, offsets)
-        slow = _scalar_sweep(lower, upper, ks, weights, offsets)
-        assert fast == slow
-        # spot check one value against direct evaluation
-        for v, val in fast.items():
-            direct = tent(3, 2 * v[0] - 1) * tent(5, -v[0] + 3 * v[1] + 2)
-            assert val == direct
+    @settings(max_examples=400, deadline=None)
+    @given(box_products())
+    @example(((-1, 0), (2, 3), [3, 2**62], [[1, -2], [0, 1]], [1, 2**62 - 3]))
+    @example(((-1, 0), (2, 3), [3, 2], [[1, 0], [-2, 1]], [1, -1]))
+    def test_matches_scalar_loop(self, case):
+        event(f"dtype {_dtype(*case).__name__}")
+        got = tent_product_over_box(*case)
+        want = scalar_products(*case)
+        assert list(got.items()) == list(want.items())  # order included
+        assert all(type(c) is int for v in got for c in v)
+        assert all(type(val) is int for val in got.values())
+
+    @pytest.mark.parametrize("c, dtype", [(1, np.int64), (0, object)])
+    def test_dtype_edge_argument_bound(self, c, dtype):
+        # box R - 2..R + 2 with R = 2**60 - 1, k = 2**60, off = c - R: the
+        # argument bound |off| + 2k + (R + 2) |w| is 2**62 - c
+        r_mid = 2**60 - 1
+        case = ((r_mid - 2,), (r_mid + 2,), [2**60], [[1]], [-(r_mid - c)])
+        assert _dtype(*case) is dtype
+        assert tent_product_over_box(*case) == {
+            (r_mid + d,): d + c + 1 for d in range(-2, 3) if d + c >= 0
+        }
+
+    @pytest.mark.parametrize(
+        "ks, dtype", [([2**31 - 1, 2**31 + 1], np.int64), ([2**31, 2**31], object)]
+    )
+    def test_dtype_edge_product_bound(self, ks, dtype):
+        # at v = 0 both factors peak at k, and the product is prod k
+        case = ((-1,), (1,), ks, [[1, 1]], [k - 1 for k in ks])
+        assert _dtype(*case) is dtype
+        out = tent_product_over_box(*case)
+        assert out[(0,)] == ks[0] * ks[1] and out[(0,)] in (2**62 - 1, 2**62)
+        assert out[(1,)] == (ks[0] - 1) * (ks[1] - 1)
 
     def test_bigint_path(self):
         # k too large for int64 forces the exact scalar path
