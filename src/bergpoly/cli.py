@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import functools
 import sys
 from pathlib import Path
 
@@ -48,7 +49,10 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(USAGE_EXIT)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The one parser of the process: parse_args fills a fresh Namespace,
+    defaults included, on every call, so main can reuse it."""
     parser = _Parser(prog="bergpoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -104,7 +104,7 @@ def numerator_polynomial(vm: ValidatedMatrix) -> LaurentPolynomial:
     terms = tent_product_over_box(
         box.lower, box.upper, [vm.det] * vm.n, weights, offsets
     )
-    return LaurentPolynomial(vm.n, terms)
+    return LaurentPolynomial._from_clean(vm.n, terms)
 
 
 def denominator_factors(vm: ValidatedMatrix) -> list[LaurentPolynomial]:
@@ -164,15 +164,17 @@ class BergmanKernelForm:
         """
         content = 0
         for _, c in self.numerator.items():
-            if c.denominator != 1:
+            if type(c) is not int:
                 content = 1
                 break
-            content = math.gcd(content, c.numerator)
+            content = math.gcd(content, c)
         if content in (0, 1):
             prefactor, numerator = self.prefactor, self.numerator
         else:
             prefactor = self.prefactor * content
-            numerator = self.numerator.scaled(Fraction(1, content))
+            numerator = LaurentPolynomial._from_clean(
+                self.n, {e: c // content for e, c in self.numerator.items()}
+            )
         row_oriented = denominator_factors(self.source)
         factors = tuple(
             t if (f == t or f == -t) else f
@@ -213,7 +215,12 @@ def canonicity_check(form: BergmanKernelForm) -> CanonicityVerdict:
     the group ring of Z^n / Zs, so the factor divides the numerator exactly
     when the numerator's coefficients sum to zero on every coset of Zs
     (LaurentPolynomial.divisible_by_binomial): O(terms * n) per factor,
-    with no division."""
+    with no division.  The coset sums add up to the total coefficient sum,
+    so a numerator whose total is nonzero is divisible by no factor, and
+    divisible_by_binomial says so after one sum.  Every general numerator
+    is a sum of positive tent products, so this check costs one sum per
+    factor there; the coset sums still run for a numerator that totals
+    zero, such as a corrupted one or a multiple of a factor."""
     for j, factor in enumerate(form.factors):
         if form.numerator.divisible_by_binomial(factor):
             return CanonicityVerdict(False, j)

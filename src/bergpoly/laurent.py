@@ -6,9 +6,10 @@ otherwise; both carry .numerator and .denominator, which every serializer
 reads.  The canonical term order is lexicographic on the exponent tuple;
 serialization, equality and evaluation all follow it.
 
-Divisibility by a binomial c t^a - c t^b is decided by coset sums, in
-O(terms * n): this is the canonicity check.  Exact single-divisor
-division is kept as the reference the tests compare against.
+Divisibility by a binomial c t^a - c t^b is decided by the total
+coefficient sum when it is nonzero, else by coset sums in O(terms * n):
+this is the canonicity check.  Exact single-divisor division is kept as
+the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -58,6 +59,18 @@ class LaurentPolynomial:
         raise AttributeError("LaurentPolynomial is immutable")
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _from_clean(cls, n: int, terms: dict[Exponent, int | Fraction]) -> "LaurentPolynomial":
+        """Wrap a term map that is already clean, without copying or checking
+        it: tuple exponents of length n, nonzero coefficients, int when
+        integral and Fraction otherwise.  The polynomial takes ownership of
+        terms.  Only the class itself and its trusted builders call this;
+        LaurentPolynomial(n, terms) checks everything."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_terms", terms)
+        return self
 
     @classmethod
     def zero(cls, n: int) -> "LaurentPolynomial":
@@ -120,13 +133,13 @@ class LaurentPolynomial:
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = s
+                out[e] = s if type(s) is int else _coerce(s)
             else:
                 out.pop(e, None)
-        return LaurentPolynomial(self.n, out)
+        return LaurentPolynomial._from_clean(self.n, out)
 
     def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.n, {e: -c for e, c in self._terms.items()})
+        return LaurentPolynomial._from_clean(self.n, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         return self + (-other)
@@ -141,10 +154,10 @@ class LaurentPolynomial:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
-                    out[e] = s
+                    out[e] = s if type(s) is int else _coerce(s)
                 else:
                     out.pop(e, None)
-        return LaurentPolynomial(self.n, out)
+        return LaurentPolynomial._from_clean(self.n, out)
 
     def __rmul__(self, other) -> "LaurentPolynomial":
         return self.scaled(other)
@@ -153,12 +166,18 @@ class LaurentPolynomial:
         factor = _coerce(factor)
         if factor == 0:
             return LaurentPolynomial.zero(self.n)
-        return LaurentPolynomial(self.n, {e: c * factor for e, c in self._terms.items()})
+        return LaurentPolynomial._from_clean(
+            self.n, {e: _coerce(c * factor) for e, c in self._terms.items()}
+        )
 
     def shifted(self, offset: Sequence[int]) -> "LaurentPolynomial":
         """Multiply by the monomial t^offset."""
-        off = tuple(offset)
-        return LaurentPolynomial(
+        off = tuple(int(x) for x in offset)
+        if len(off) != self.n:
+            raise DimensionMismatchError(
+                f"offset {off} has length {len(off)}, expected {self.n}"
+            )
+        return LaurentPolynomial._from_clean(
             self.n, {tuple(a + b for a, b in zip(e, off)): c for e, c in self._terms.items()}
         )
 
@@ -196,10 +215,18 @@ class LaurentPolynomial:
         coset e + Zs.  With p the first nonzero coordinate of s, each coset
         has exactly one representative e - floor(e_p / s_p) s, the one whose
         p-th coordinate lies between 0 and s_p (s_p excluded).
+
+        The coset sums partition the total coefficient sum, so a nonzero
+        total already means some coset sum is nonzero: f(1) = 0, and f | g
+        forces g(1) = 0.  That case returns False after one sum, before any
+        coset arithmetic; only a polynomial whose coefficients total zero
+        (a multiple of f, or a corrupted numerator) runs the coset sums.
         """
         self._check(f)
         if len(f) != 2 or sum(c for _, c in f.items()) != 0:
             raise ValueError(f"not a binomial c*t^a - c*t^b: {f!r}")
+        if sum(self._terms.values()):
+            return False
         a, b = f._terms
         s = tuple(x - y for x, y in zip(a, b))
         p = next(i for i, x in enumerate(s) if x)

@@ -261,3 +261,26 @@ def test_malformed_input_is_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("InputError: ")
+
+
+@pytest.mark.parametrize(
+    "calls, codes",
+    [
+        ([("verify", "--matrix", "2 -1 / 0 1", "--window", "2"),
+          ("verify", "--matrix", "2 -1 / 0 1")], [0, 0]),
+        ([("kernel", "--matrix", "1 -1 / 0 1", "--bogus"),
+          ("kernel", "--matrix", "2 -1 / 0 1")], [64, 0]),
+        ([("kernel", "--matrix", "2 -1 / 0 1", "--format", "latex"),
+          ("kernel", "--matrix", "2 -1 / 0 1")], [0, 0]),
+    ],
+)
+def test_calls_in_sequence_match_calls_alone(capsys, calls, codes):
+    # main reuses one parser per process; no call may see an earlier
+    # call's options or defaults
+    together = [run(capsys, *argv)[:2] for argv in calls]
+    alone = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        alone.append(run(capsys, *argv)[:2])
+    assert together == alone
+    assert [code for code, _ in together] == codes

@@ -181,6 +181,12 @@ class TestAssemble:
         assert form.canonicalized().prefactor == Fraction(1, 3)
         assert chain.canonicalized().prefactor == Fraction(1, 3)
 
+    def test_folded_content_stays_integral(self):
+        form = assemble_kernel(IntMatrix(((1, -3, 0), (0, 3, -1), (0, 0, 1))))
+        canon = form.canonicalized()
+        assert all(type(c) is int for _, c in canon.numerator.items())
+        assert canon.numerator.scaled(3) == form.numerator
+
 
 class TestCanonicity:
     def test_passes(self, hartogs_vm, worked_vm):

@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bergpoly import (
@@ -206,6 +206,22 @@ class TestBinomialDivisibility:
             True, True, False, False, True, True
         ]
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_polys(max_terms=6), binomials())
+    def test_nonzero_total_is_never_divisible(self, num, f):
+        # f(1) = 0, so f | num forces num(1) = 0: the total-sum shortcut
+        assume(sum(c for _, c in num.items()) != 0)
+        assert not num.divisible_by_binomial(f)
+        assert num.try_exact_divide(f) is None
+
+    def test_zero_total_still_runs_coset_sums(self):
+        # t1 - t2 totals zero, yet its cosets of Z(1, 0) sum to 1 and -1
+        f = poly(2, {(0, 0): 1, (1, 0): -1})
+        num = poly(2, {(1, 0): 1, (0, 1): -1})
+        assert not num.divisible_by_binomial(f)
+        assert num.try_exact_divide(f) is None
+        assert (num * f).divisible_by_binomial(f)
+
     def test_non_primitive_half_step(self):
         # 1 - t^(1,1) divides 1 - t^(2,2), not the other way round
         f = poly(2, {(0, 0): 1, (2, 2): -1})
@@ -268,6 +284,22 @@ class TestMonomialConstructor:
         assert type(p.coefficient((0, 1))) is Fraction
         assert type(p.coefficient((5, 5))) is int
         assert all(type(c) is int for _, c in (p * 2).items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys(), small_polys(), st.fractions(max_denominator=4),
+           st.tuples(st.integers(-3, 3), st.integers(-3, 3)))
+    def test_operations_keep_terms_clean(self, a, b, k, off):
+        # ring operations skip the public constructor's checks, so their
+        # term maps must already be what that constructor would build
+        for r in (a + b, a - b, -a, a * b, a.scaled(k), a * k, a.shifted(off)):
+            assert dict(r.items()) == dict(P(2, dict(r.items())).items())
+            for e, c in r.items():
+                assert type(e) is tuple and len(e) == 2 and c != 0
+                assert type(c) is (int if c.denominator == 1 else Fraction)
+
+    def test_shift_length_is_checked(self):
+        with pytest.raises(DimensionMismatchError):
+            P.one(2).shifted((1, 2, 3))
 
     def test_rational_laurent(self):
         p = P.monomial(2, Fraction(3, 2), (1, -2))

@@ -1,0 +1,137 @@
+"""render.dumps against json.dumps(sort_keys=True, indent=2) + newline."""
+
+import json
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bergpoly import IntMatrix, assemble_kernel, render
+from bergpoly.int_linalg import matrix_to_json
+from bergpoly.oracle import OracleReport, Window
+
+
+def reference(obj):
+    """json's own output, or the type of the exception it raises."""
+    try:
+        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+def written(obj):
+    try:
+        return render.dumps(obj)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+big_ints = st.integers(-(2**64) - 5, 2**64 + 5)
+int_strings = st.one_of(st.integers(-10, 10), st.integers(-(2**80), 2**80)).map(str)
+exps = st.lists(st.one_of(st.integers(-3, 3), big_ints), max_size=6)
+terms = st.fixed_dictionaries({"den": int_strings, "exp": exps, "num": int_strings})
+near_terms = st.one_of(
+    terms.map(lambda t: {**t, "extra": 1}),
+    terms.map(lambda t: {**t, "den": int(t["den"])}),
+    terms.map(lambda t: {**t, "num": int(t["num"])}),
+    terms.map(lambda t: {**t, "exp": t["exp"] + [True]}),
+    terms.map(lambda t: {k: v for k, v in t.items() if k != "num"}),
+)
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    big_ints,
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+)
+json_values = st.recursive(
+    scalars | st.lists(terms, max_size=3) | st.lists(st.one_of(big_ints, st.booleans())),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(st.one_of(terms, near_terms), max_size=3),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+        st.dictionaries(st.integers(-3, 3), children, max_size=3),
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(json_values)
+def test_random_values_match_json(obj):
+    assert written(obj) == reference(obj)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(terms, max_size=5), st.lists(near_terms, min_size=1, max_size=2))
+def test_term_lists_and_near_terms(good, bad):
+    assert render.dumps({"terms": good}) == reference({"terms": good})
+    mixed = good + bad
+    assert render.dumps({"terms": mixed, "n": 2}) == reference({"terms": mixed, "n": 2})
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        [], {}, [[]], [{}], {"a": [], "b": {}},
+        [1, True, 2], [False], [1, 2, 3],
+        [float("nan"), float("inf"), -float("inf"), 0.1, -0.0],
+        {"é\n": "☃\t\"", " ": ["ü"]},
+        {"t": [{"den": "1", "exp": [], "num": "-3"}]},
+        {1: [2], 0: {"a": 3}},
+        {"x": (1, 2)},
+        "plain", None, 2**70,
+    ],
+)
+def test_edge_values(obj):
+    assert render.dumps(obj) == reference(obj)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+            st.fractions(max_denominator=50),
+            st.fractions(max_denominator=50),
+        ),
+        max_size=4,
+    ),
+    st.integers(0, 100),
+)
+def test_report_payloads(mismatches, checked):
+    report = OracleReport(
+        checked=checked,
+        matched=checked - len(mismatches),
+        mismatches=tuple((tuple(e), a, b) for e, a, b in mismatches),
+        safe_lower=(-3, -3),
+        safe_upper=(4, 4),
+        window=Window.cube(2, 3),
+    )
+    payload = render.report_to_json_dict(report)
+    assert render.dumps(payload) == reference(payload)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.lists(big_ints, min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_matrix_payloads(rows):
+    payload = {"valid": True, "n": len(rows), "matrix": matrix_to_json(IntMatrix(rows))}
+    assert render.dumps(payload) == reference(payload)
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        ((1, -1), (0, 1)),
+        ((2, -1), (0, 1)),
+        ((1, -3, 0), (0, 3, -1), (0, 0, 1)),
+        ((3, -1, 0), (0, 3, -1), (-1, 0, 3)),
+    ],
+)
+def test_kernel_forms(rows):
+    form = assemble_kernel(IntMatrix(rows))
+    for f in (form, form.canonicalized()):
+        payload = render.form_to_json_dict(f)
+        assert render.dumps(payload) == reference(payload)
