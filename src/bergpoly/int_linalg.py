@@ -58,6 +58,14 @@ class IntMatrix:
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", tup)
 
+    @classmethod
+    def _from_rows(cls, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        """Wrap a square tuple of int tuples that the package built itself
+        from a checked matrix: no re-coercion and no dimension cap."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        return m
+
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
@@ -134,31 +142,53 @@ def determinant(m: IntMatrix) -> int:
 
 
 def _minor_det(m: IntMatrix, drop_row: int, drop_col: int) -> int:
-    sub = [
-        [m.rows[r][c] for c in range(m.n) if c != drop_col]
-        for r in range(m.n)
-        if r != drop_row
-    ]
-    if len(sub) == 1:
-        return sub[0][0]
-    return determinant(IntMatrix(sub))
+    sub = tuple(
+        tuple(x for c, x in enumerate(r) if c != drop_col)
+        for i, r in enumerate(m.rows)
+        if i != drop_row
+    )
+    return determinant(IntMatrix._from_rows(sub))
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
     """Transposed cofactor matrix: adj(M)[j][k] = (-1)^(j+k) det(M minus row k, col j).
 
     Satisfies M @ adj(M) = det(M) * I exactly, for singular M included.
+
+    One fraction-free Gauss-Jordan elimination of [M | I] (Bareiss 1968)
+    gives it: every division is exact, and after the last pivot the left
+    half is det(PM) * I and the right half det(PM) (PM)^-1 P = sign * adj M,
+    where P holds the row swaps and sign = det P.  When some column has no
+    pivot, det M = 0 and the entries come from the n^2 minors instead.
     """
     n = m.n
     if n == 2:
         (a, b), (c, d) = m.rows
-        return IntMatrix(((d, -b), (-c, a)))
-    return IntMatrix(
-        tuple(
-            tuple((-1) ** (j + k) * _minor_det(m, k, j) for k in range(n))
-            for j in range(n)
-        )
-    )
+        return IntMatrix._from_rows(((d, -b), (-c, a)))
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if aug[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if aug[r][k]), None)
+            if swap is None:
+                return IntMatrix._from_rows(
+                    tuple(
+                        tuple((-1) ** (r + c) * _minor_det(m, c, r) for c in range(n))
+                        for r in range(n)
+                    )
+                )
+            aug[k], aug[swap] = aug[swap], aug[k]
+            sign = -sign
+        pivot_row = aug[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i != k:
+                row = aug[i]
+                f = row[k]
+                aug[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pivot
+    return IntMatrix._from_rows(tuple(tuple(sign * x for x in r[n:]) for r in aug))
 
 
 def row_gcd(v: Sequence[int]) -> int:
@@ -180,8 +210,8 @@ class SignSplit:
 
 
 def sign_split(m: IntMatrix) -> SignSplit:
-    plus = IntMatrix(tuple(tuple(max(x, 0) for x in r) for r in m.rows))
-    minus = IntMatrix(tuple(tuple(max(-x, 0) for x in r) for r in m.rows))
+    plus = IntMatrix._from_rows(tuple(tuple(max(x, 0) for x in r) for r in m.rows))
+    minus = IntMatrix._from_rows(tuple(tuple(max(-x, 0) for x in r) for r in m.rows))
     return SignSplit(plus, minus)
 
 
@@ -209,14 +239,17 @@ def normalize(m: IntMatrix) -> NormalizedMatrix:
     """
     if any(all(x == 0 for x in r) for r in m.rows):
         raise SingularMatrixError("zero row: matrix is singular")
-    rows = [tuple(x // row_gcd(r) for x in r) for r in m.rows]
-    reduced = IntMatrix(rows)
+    rows = []
+    for r in m.rows:
+        g = row_gcd(r)
+        rows.append(tuple(x // g for x in r))
+    reduced = IntMatrix._from_rows(tuple(rows))
     det = determinant(reduced)
     if det == 0:
         raise SingularMatrixError("det B = 0: the domain would not be open")
     if det < 0:
         rows[-2], rows[-1] = rows[-1], rows[-2]
-        reduced = IntMatrix(rows)
+        reduced = IntMatrix._from_rows(tuple(rows))
         det = -det
     return NormalizedMatrix(reduced, det)
 

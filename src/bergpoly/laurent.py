@@ -8,8 +8,7 @@ serialization, equality and evaluation all follow it.
 
 Divisibility by a binomial c t^a - c t^b is decided by the total
 coefficient sum when it is nonzero, else by coset sums in O(terms * n):
-this is the canonicity check.  Exact single-divisor division is kept as
-the reference the tests compare against.
+this is the canonicity check.
 """
 
 from __future__ import annotations
@@ -17,11 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (
-    DimensionMismatchError,
-    DivisionByZeroPolynomialError,
-    PoleAtZeroError,
-)
+from .errors import DimensionMismatchError, PoleAtZeroError
 
 Exponent = tuple[int, ...]
 
@@ -236,54 +231,6 @@ class LaurentPolynomial:
             r = tuple(x - k * y for x, y in zip(e, s)) if k else e
             sums[r] = sums.get(r, 0) + c
         return not any(sums.values())
-
-    def try_exact_divide(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial | None":
-        """Return q with q * divisor == self, or None when no such Laurent
-        polynomial exists.
-
-        Monomials are units in the Laurent ring, so both operands are first
-        shifted by their per-coordinate minimum exponents into the ordinary
-        polynomial ring (the Newton-polytope vertex argument shows the
-        quotient, if any, lands there too); then single-divisor reduction
-        against the lex-leading term of the divisor runs to completion.  Any
-        leading term the divisor's leading term cannot divide certifies a
-        nonzero remainder, hence non-divisibility.
-        """
-        self._check(divisor)
-        if divisor.is_zero():
-            raise DivisionByZeroPolynomialError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPolynomial.zero(self.n)
-        s_num = self.min_exponents()
-        s_div = divisor.min_exponents()
-        work = {
-            tuple(a - b for a, b in zip(e, s_num)): c for e, c in self._terms.items()
-        }
-        div_terms = [
-            (tuple(a - b for a, b in zip(e, s_div)), c) for e, c in divisor._terms.items()
-        ]
-        lead_e = max(e for e, _ in div_terms)
-        lead_c = dict(div_terms)[lead_e]
-        rest = [(e, c) for e, c in div_terms if e != lead_e]
-        quot: dict[Exponent, int | Fraction] = {}
-        while work:
-            e = max(work)
-            q_exp = tuple(a - b for a, b in zip(e, lead_e))
-            if any(x < 0 for x in q_exp):
-                return None
-            q_c = Fraction(work.pop(e)) / lead_c  # int / int would be a float
-            quot[q_exp] = quot.get(q_exp, 0) + q_c
-            for de, dc in rest:
-                te = tuple(a + b for a, b in zip(q_exp, de))
-                s = work.get(te, 0) - q_c * dc
-                if s:
-                    work[te] = s
-                else:
-                    work.pop(te, None)
-        shift_back = tuple(a - b for a, b in zip(s_num, s_div))
-        return LaurentPolynomial(
-            self.n, {tuple(a + b for a, b in zip(e, shift_back)): c for e, c in quot.items()}
-        )
 
     # -- evaluation --------------------------------------------------------
 

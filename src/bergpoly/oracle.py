@@ -270,45 +270,62 @@ def compare_with_closed_form(
     )
 
 
-def _series_partial_sum(vm: ValidatedMatrix, t: np.ndarray, radius: int) -> complex:
-    """Partial sum of the monomial series, truncated by the pulled-back
-    degree vector: all admissible m with (m+1) adj B <= radius entrywise.
+def _shell_sum(
+    b: np.ndarray, det: int, log_mod: np.ndarray, arg: np.ndarray, lo: int, hi: int
+) -> complex:
+    """Sum of the monomial series over one shell of pulled-back degree
+    vectors: all admissible m whose y = (m+1) adj B has max_j y_j in
+    (lo, hi], every y_j >= 1.
 
-    Truncating in the pulled-back coordinates y = (m+1) adj B gives
-    uniform geometric decay per unit radius in every coordinate (each
-    y_j-step multiplies the term by |t^(b^j)|^(1/det) < 1), which a box
-    in m itself does not: admissible rays can be arbitrarily slanted.
-    The admissible exponents are exactly m = y B / det - 1 for lattice
-    points y >= 1 with y B = 0 mod det.  Powers run in log space since
-    single coordinates of m may be very negative even when the admissible
-    products stay bounded.
+    Truncating in the pulled-back coordinates y gives uniform geometric
+    decay per unit radius in every coordinate (each y_j-step multiplies
+    the term by |t^(b^j)|^(1/det) < 1), which a box in m itself does not:
+    admissible rays can be arbitrarily slanted.  The admissible exponents
+    are exactly m = y B / det - 1 for lattice points y >= 1 with
+    y B = 0 mod det.  Powers run in log space since single coordinates of
+    m may be very negative even when the admissible products stay bounded.
+
+    The shell is y_0 in (lo, hi] with the tail (y_1..y_n-1) anywhere in
+    [1, hi]^(n-1), then y_0 <= lo with tail max > lo; each part is summed
+    in blocks of at most max(SLAB_POINTS, tail size) points, so the
+    [1, hi]^n cube is never built.
     """
-    n = vm.n
-    det = vm.det
+    n = b.shape[0]
     det_adj = det ** (n - 1)
-    b = np.asarray([list(r) for r in vm.matrix.rows], dtype=np.int64)
+    axis = np.arange(1, hi + 1, dtype=np.int64)
+    tail = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1)
+    tail = tail.reshape(-1, n - 1)
+    total = 0.0 + 0.0j
+    for first, rest in ((axis[lo:], tail), (axis[:lo], tail[tail.max(axis=1) > lo])):
+        rest_b = rest @ b[1:]
+        rest_weight = rest.astype(np.float64).prod(axis=1)
+        rows = max(1, _backend.SLAB_POINTS // max(1, len(rest)))
+        for s in range(0, len(first), rows):
+            y0 = first[s : s + rows]
+            yb = y0[:, None, None] * b[0] + rest_b[None]
+            i, k = np.nonzero((yb % det == 0).all(axis=2))
+            if not len(i):
+                continue
+            m = (yb[i, k] // det - 1).astype(np.float64)
+            weights = y0[i] * rest_weight[k] / det_adj
+            powers = np.exp(m @ log_mod + 1j * (m @ arg))
+            total += complex(np.sum(weights * powers))
+    return total
+
+
+def _partial_sums(vm: ValidatedMatrix, t: np.ndarray, radii: Sequence[int]):
+    """(radius, partial sum) along increasing radii: the monomial series
+    summed over every admissible m with (m+1) adj B <= radius entrywise.
+    Each radius adds only its new shell to a running total."""
+    b = np.asarray(vm.matrix.rows, dtype=np.int64)
     log_mod = np.log(np.abs(t))
     arg = np.angle(t)
-    tail_axes = [np.arange(1, radius + 1, dtype=np.int64) for _ in range(n - 1)]
-    if tail_axes:
-        mesh = np.meshgrid(*tail_axes, indexing="ij")
-        tail = np.stack([g.reshape(-1) for g in mesh], axis=1)
-    else:
-        tail = np.zeros((1, 0), dtype=np.int64)
     total = 0.0 + 0.0j
-    for y0 in range(1, radius + 1):
-        y = np.concatenate(
-            [np.full((tail.shape[0], 1), y0, dtype=np.int64), tail], axis=1
-        )
-        yb = y @ b
-        mask = (yb % det == 0).all(axis=1)
-        if not mask.any():
-            continue
-        m = (yb[mask] // det - 1).astype(np.float64)
-        weights = y[mask].astype(np.float64).prod(axis=1) / det_adj
-        powers = np.exp(m @ log_mod + 1j * (m @ arg))
-        total += complex(np.sum(weights * powers))
-    return total
+    reached = 0
+    for radius in radii:
+        total += _shell_sum(b, vm.det, log_mod, arg, reached, radius)
+        reached = radius
+        yield radius, total
 
 
 def numeric_spot_check(
@@ -321,7 +338,13 @@ def numeric_spot_check(
 ) -> float:
     """Relative error between the closed form and the truncated orthonormal
     series at (p, q); the truncation radius walks up until a Cauchy
-    criterion holds twice in a row, else NonConvergentError."""
+    criterion holds twice in a row, else NonConvergentError.
+
+    The radii are step, 2 step, ... and `terms`, step = max(4, terms // 10);
+    the partial sum at a radius covers every admissible m with
+    (m+1) adj B <= radius entrywise.  Each radius adds only its new shell
+    (max_j y_j between the previous radius and this one) to a running
+    total, so the walk sums every term once."""
     if form is None:
         form = assemble_kernel(vm)
     t = np.asarray(
@@ -336,8 +359,8 @@ def numeric_spot_check(
     prev = None
     stable = 0
     value = None
-    for radius in radii:
-        cur = _series_partial_sum(vm, t, radius) / math.pi**vm.n
+    for _, total in _partial_sums(vm, t, radii):
+        cur = total / math.pi**vm.n
         if prev is not None:
             if abs(cur - prev) <= cauchy_tol * max(abs(cur), 1e-300):
                 stable += 1

@@ -48,6 +48,51 @@ class TestValidate:
         assert code == 1 and "cap" in err
 
 
+class TestDimensionCap:
+    """Every matrix a user supplies, in any form and to any command, meets
+    the BERGPOLY_MAX_N cap: MatrixTooLargeError, exit code 1."""
+
+    EYE4 = [[int(i == j) for j in range(4)] for i in range(4)]
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("validate",),
+            ("kernel",),
+            ("verify",),
+            ("eval", "--point-p", "0.1,0.1,0.1,0.1"),
+            ("special", "--family", "det1"),
+            ("special", "--family", "dim2"),
+        ],
+    )
+    @pytest.mark.parametrize("form", ["inline", "file", "json"])
+    def test_matrix_inputs(self, capsys, monkeypatch, tmp_path, command, form):
+        monkeypatch.setenv("BERGPOLY_MAX_N", "3")
+        if form == "inline":
+            source = ("--matrix", " / ".join(" ".join(map(str, r)) for r in self.EYE4))
+        elif form == "json":
+            source = ("--matrix", json.dumps(self.EYE4))
+        else:
+            f = tmp_path / "m.txt"
+            f.write_text("".join(" ".join(map(str, r)) + "\n" for r in self.EYE4))
+            source = ("--matrix-file", str(f))
+        code, out, err = run(capsys, *command, *source)
+        assert code == 1 and out == ""
+        assert err.startswith("MatrixTooLargeError: n=4 exceeds the cap 3")
+
+    @pytest.mark.parametrize("family", ["sig1", "pz"])
+    def test_family_params(self, capsys, monkeypatch, family):
+        monkeypatch.setenv("BERGPOLY_MAX_N", "3")
+        code, out, err = run(capsys, "special", "--family", family, "--params", "1,1,1,1")
+        assert code == 1 and out == ""
+        assert err.startswith("MatrixTooLargeError: n=4 exceeds the cap 3")
+
+    def test_default_cap(self, capsys):
+        eye17 = " / ".join(" ".join(str(int(i == j)) for j in range(17)) for i in range(17))
+        code, _, err = run(capsys, "kernel", "--matrix", eye17)
+        assert code == 1 and err.startswith("MatrixTooLargeError: n=17 exceeds the cap 16")
+
+
 class TestKernel:
     def test_latex_hartogs(self, capsys):
         code, out, _ = run(capsys, "kernel", "--matrix", "1 -1 / 0 1", "--format", "latex")

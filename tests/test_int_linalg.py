@@ -91,6 +91,78 @@ class TestAdjugate:
                 assert row_gcd(twice.row(j)) == det
 
 
+def cofactor_adjugate(rows):
+    """adj(M)[j][k] = (-1)^(j+k) det(M minus row k, col j), each minor by
+    Laplace expansion along its first row."""
+
+    def det(a):
+        if len(a) == 1:
+            return a[0][0]
+        return sum(
+            (-1) ** k * x * det([r[:k] + r[k + 1 :] for r in a[1:]])
+            for k, x in enumerate(a[0])
+            if x
+        )
+
+    n = len(rows)
+    return tuple(
+        tuple(
+            (-1) ** (j + k) * det([r[:j] + r[j + 1 :] for i, r in enumerate(rows) if i != k])
+            for k in range(n)
+        )
+        for j in range(n)
+    )
+
+
+@st.composite
+def adjugate_inputs(draw):
+    """n = 3..6 matrices with entries beyond 2^64, some singular (a row
+    repeated or scaled, or a zero column) and some with zero leading
+    entries, which force row swaps."""
+    n = draw(st.integers(3, 6))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("plain", "swaps", "dependent", "zero_column")))
+    if shape == "swaps":
+        # a zero top-left block: the first pivots must come from lower rows
+        z = draw(st.integers(1, n - 1))
+        for i in range(z):
+            for j in range(z):
+                rows[i][j] = 0
+    elif shape == "dependent":
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = draw(st.integers(-3, 3))
+        rows[i] = [c * x for x in rows[j]]
+    elif shape == "zero_column":
+        c = draw(st.integers(0, n - 1))
+        for r in rows:
+            r[c] = 0
+    return rows
+
+
+class TestAdjugateAgainstCofactors:
+    @settings(max_examples=300, deadline=None)
+    @given(adjugate_inputs())
+    def test_matches_cofactor_expansion(self, rows):
+        m = IntMatrix(rows)
+        adj = adjugate(m)
+        assert adj.rows == cofactor_adjugate(rows)
+        assert all(type(x) is int for r in adj.rows for x in r)
+
+    def test_pivot_swaps(self):
+        rows = [[0, 0, 1], [0, 2, 0], [3, 0, 0]]
+        assert adjugate(IntMatrix(rows)).rows == cofactor_adjugate(rows)
+        rows = [[0, 1, 2, 3], [0, 0, 1, 5], [4, 0, 0, 1], [1, 1, 1, 0]]
+        assert adjugate(IntMatrix(rows)).rows == cofactor_adjugate(rows)
+
+    def test_singular(self):
+        # rank 2 of 3: a nonzero adjugate, from the minors
+        rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
+        adj = adjugate(IntMatrix(rows))
+        assert adj.rows == cofactor_adjugate(rows)
+        assert any(x for r in adj.rows for x in r)
+
+
 class TestNormalize:
     def test_row_gcd_divided(self):
         nm = normalize(IntMatrix(((2, -2), (0, 1))))
@@ -204,6 +276,23 @@ class TestParsing:
         monkeypatch.setenv("BERGPOLY_MAX_N", "3")
         with pytest.raises(MatrixTooLargeError):
             IntMatrix.identity(4)
+
+    def test_cap_holds_for_user_matrices_not_for_derived_ones(self, monkeypatch):
+        m4 = parse_matrix("2 -1 0 0 / 0 2 -1 0 / 0 0 2 -1 / -1 0 0 2")
+        vm = prepare(m4)
+        monkeypatch.setenv("BERGPOLY_MAX_N", "3")
+        for text in (
+            "1 0 0 0 / 0 1 0 0 / 0 0 1 0 / 0 0 0 1",
+            "1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n",
+            "[[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]",
+        ):
+            with pytest.raises(MatrixTooLargeError):
+                parse_matrix(text)
+        with pytest.raises(MatrixTooLargeError):
+            IntMatrix(m4.rows)
+        # matrices the package derives from an accepted one are not re-capped
+        assert prepare(vm.matrix).adj == vm.adj
+        assert sign_split(vm.matrix).plus.n == 4
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,8 @@ from bergpoly import (
     PoleAtZeroError,
 )
 
+from _reference import try_exact_divide
+
 P = LaurentPolynomial
 
 
@@ -130,30 +132,30 @@ class TestDivision:
     def test_square_by_factor(self):
         d = poly(2, {(0, 1): 1, (1, 0): -1})
         sq = d * d
-        assert sq.try_exact_divide(d) == d
+        assert try_exact_divide(sq, d) == d
 
     def test_self_division(self):
         p = poly(2, {(2, -1): 3, (0, 1): Fraction(1, 2)})
-        assert p.try_exact_divide(p) == P.one(2)
+        assert try_exact_divide(p, p) == P.one(2)
 
     def test_not_divisible_with_oracle(self):
         num = poly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
         div = poly(2, {(0, 1): 1, (1, 0): -1})
-        assert num.try_exact_divide(div) is None
+        assert try_exact_divide(num, div) is None
         assert not exists_quotient_up_to_degree(num, div, 1)
         # sanity: the oracle does find genuine quotients
         assert exists_quotient_up_to_degree(div * div, div, 1)
 
     def test_zero_numerator(self):
         d = poly(2, {(0, 1): 1, (1, 0): -1})
-        assert P.zero(2).try_exact_divide(d) == P.zero(2)
+        assert try_exact_divide(P.zero(2), d) == P.zero(2)
 
     def test_division_by_zero(self):
         with pytest.raises(DivisionByZeroPolynomialError):
-            P.one(2).try_exact_divide(P.zero(2))
+            try_exact_divide(P.one(2), P.zero(2))
 
     def test_integer_operands_divide_exactly(self):
-        q = P(1, {(1,): 1, (0,): -1}).try_exact_divide(P(1, {(1,): 2, (0,): -2}))
+        q = try_exact_divide(P(1, {(1,): 1, (0,): -1}), P(1, {(1,): 2, (0,): -2}))
         assert q == P(1, {(0,): Fraction(1, 2)})
         assert type(q.coefficient((0,))) is Fraction
 
@@ -161,14 +163,14 @@ class TestDivision:
         q = poly(2, {(-1, 2): Fraction(2, 3), (0, 0): 1})
         d = poly(2, {(0, -1): 1, (-2, 0): -1})
         prod = q * d
-        assert prod.try_exact_divide(d) == q
+        assert try_exact_divide(prod, d) == q
 
     @settings(max_examples=120, deadline=None)
     @given(small_polys(), small_polys())
     def test_round_trip(self, q, d):
         if d.is_zero():
             return
-        assert (q * d).try_exact_divide(d) == q
+        assert try_exact_divide(q * d, d) == q
 
 
 class TestBinomialDivisibility:
@@ -177,13 +179,13 @@ class TestBinomialDivisibility:
     @settings(max_examples=300, deadline=None)
     @given(small_polys(max_terms=6), binomials())
     def test_matches_exact_division(self, num, f):
-        assert num.divisible_by_binomial(f) == (num.try_exact_divide(f) is not None)
+        assert num.divisible_by_binomial(f) == (try_exact_divide(num, f) is not None)
 
     @settings(max_examples=200, deadline=None)
     @given(small_polys(max_terms=6), binomials())
     def test_multiples_are_divisible(self, g, f):
         assert (g * f).divisible_by_binomial(f)
-        assert (g * f).try_exact_divide(f) is not None
+        assert try_exact_divide(g * f, f) is not None
 
     @pytest.mark.parametrize(
         "f",
@@ -200,7 +202,7 @@ class TestBinomialDivisibility:
         t = poly(n, {(0,) * (n - 1) + (1,): 1})
         cases = [g * f, f * f, g * f + t, g, f + t * f * f, P.zero(n)]
         for num in cases:
-            want = num.try_exact_divide(f) is not None
+            want = try_exact_divide(num, f) is not None
             assert num.divisible_by_binomial(f) == want
         assert [num.divisible_by_binomial(f) for num in cases] == [
             True, True, False, False, True, True
@@ -212,14 +214,14 @@ class TestBinomialDivisibility:
         # f(1) = 0, so f | num forces num(1) = 0: the total-sum shortcut
         assume(sum(c for _, c in num.items()) != 0)
         assert not num.divisible_by_binomial(f)
-        assert num.try_exact_divide(f) is None
+        assert try_exact_divide(num, f) is None
 
     def test_zero_total_still_runs_coset_sums(self):
         # t1 - t2 totals zero, yet its cosets of Z(1, 0) sum to 1 and -1
         f = poly(2, {(0, 0): 1, (1, 0): -1})
         num = poly(2, {(1, 0): 1, (0, 1): -1})
         assert not num.divisible_by_binomial(f)
-        assert num.try_exact_divide(f) is None
+        assert try_exact_divide(num, f) is None
         assert (num * f).divisible_by_binomial(f)
 
     def test_non_primitive_half_step(self):

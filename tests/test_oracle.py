@@ -19,7 +19,7 @@ from bergpoly import (
     parse_matrix,
     prepare,
 )
-from bergpoly import _backend, oracle
+from bergpoly import _backend, families, oracle
 from bergpoly.kernel import BergmanKernelForm
 from bergpoly.laurent import LaurentPolynomial
 from bergpoly.special import SignatureOneSpec, kernel_signature_one, signature_matrix
@@ -277,3 +277,89 @@ class TestNumericSpotCheck:
             p = sample_interior_point(vm, form, rng)
             assert p is not None
             assert numeric_spot_check(vm, p, p, terms=128, form=form) < 1e-8
+
+
+def reference_partial_sum(vm, t, radius):
+    """The monomial series summed from scratch over every admissible m with
+    (m+1) adj B <= radius entrywise, one first coordinate of y at a time."""
+    n = vm.n
+    det = vm.det
+    det_adj = det ** (n - 1)
+    b = np.asarray([list(r) for r in vm.matrix.rows], dtype=np.int64)
+    log_mod = np.log(np.abs(t))
+    arg = np.angle(t)
+    mesh = np.meshgrid(*[np.arange(1, radius + 1, dtype=np.int64)] * (n - 1), indexing="ij")
+    tail = np.stack([g.reshape(-1) for g in mesh], axis=1)
+    total = 0.0 + 0.0j
+    for y0 in range(1, radius + 1):
+        y = np.concatenate([np.full((tail.shape[0], 1), y0, dtype=np.int64), tail], axis=1)
+        yb = y @ b
+        mask = (yb % det == 0).all(axis=1)
+        m = (yb[mask] // det - 1).astype(np.float64)
+        weights = y[mask].astype(np.float64).prod(axis=1) / det_adj
+        total += complex(np.sum(weights * np.exp(m @ log_mod + 1j * (m @ arg))))
+    return total
+
+
+def reference_walk(vm, t, terms, tol=1e-9):
+    """(radius, from-scratch partial sum) at every radius the Cauchy walk
+    visits, up to the one where it stops (or the last one)."""
+    step = max(4, terms // 10)
+    visited = []
+    prev = None
+    stable = 0
+    for radius in list(range(step, terms, step)) + [terms]:
+        total = reference_partial_sum(vm, t, radius)
+        visited.append((radius, total))
+        cur = total / math.pi**vm.n
+        if prev is not None:
+            if abs(cur - prev) <= tol * max(abs(cur), 1e-300):
+                stable += 1
+                if stable >= 2:
+                    break
+            else:
+                stable = 0
+        prev = cur
+    return visited
+
+
+class TestSpotWalk:
+    """The walk's running shell totals against from-scratch partial sums."""
+
+    def _walk(self, monkeypatch, vm, p, terms):
+        seen = []
+        shells = oracle._partial_sums
+
+        def recording(*args):
+            for item in shells(*args):
+                seen.append(item)
+                yield item
+
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "_partial_sums", recording)
+            try:
+                numeric_spot_check(vm, p, p, terms=terms)
+            except NonConvergentError:
+                pass
+        return seen
+
+    def _check(self, monkeypatch, vm, p, terms):
+        t = np.asarray([complex(z) * complex(z).conjugate() for z in p])
+        seen = self._walk(monkeypatch, vm, p, terms)
+        want = reference_walk(vm, t, terms)
+        # the same radii, so the walk stops at the same one
+        assert [r for r, _ in seen] == [r for r, _ in want]
+        for (_, got), (_, ref) in zip(seen, want):
+            assert abs(got - ref) <= 1e-12 * abs(ref)
+
+    def test_sweep_matrices(self, monkeypatch, family_2x2, family_3x3):
+        rng = random.Random(17)
+        cases = families.subsample(family_2x2, 4) + families.subsample(family_3x3, 4)
+        for vm in cases:
+            form = assemble_kernel(vm)
+            p = sample_interior_point(vm, form, rng)
+            assert p is not None
+            self._check(monkeypatch, vm, p, terms=128)
+
+    def test_walk_without_convergence(self, monkeypatch, hartogs_vm):
+        self._check(monkeypatch, hartogs_vm, [0.69, 0.7], terms=40)
