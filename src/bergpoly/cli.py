@@ -8,7 +8,11 @@ compares every point of the window together with the numerator's
 bounding box (the report's `safeBox`), so no window is too small; one
 whose oracle hull or comparison grid cannot be allocated is invalid
 input: exit 1 with one WindowTooLargeError line giving its point count
-and bytes.
+and bytes.  `eval --epsilon` is the modulus below which a denominator
+factor counts as singular; one that is not finite or not > 0 would
+turn that guard off and is invalid input (exit 1).  A --matrix-file
+that cannot be read, or a JSON matrix nested too deep to parse, is
+invalid input too.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -101,7 +106,13 @@ def _load_matrix(args) -> IntMatrix:
     if getattr(args, "matrix", None):
         return parse_matrix(args.matrix)
     if getattr(args, "matrix_file", None):
-        return parse_matrix(Path(args.matrix_file).read_text())
+        try:
+            text = Path(args.matrix_file).read_text()
+        except OSError as exc:
+            raise InputError(
+                f"cannot read --matrix-file {args.matrix_file!r}: {exc.strerror or exc}"
+            ) from None
+        return parse_matrix(text)
     raise InputError("a matrix is required (--matrix or --matrix-file)")
 
 
@@ -162,6 +173,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "eval":
+        if not (math.isfinite(args.epsilon) and args.epsilon > 0):
+            raise InputError(f"--epsilon must be finite and > 0, not {args.epsilon!r}")
         form = assemble_kernel(_load_matrix(args))
         p = _parse_point(args.point_p)
         q = _parse_point(args.point_q) if args.point_q else p

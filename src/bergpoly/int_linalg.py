@@ -314,7 +314,11 @@ def parse_matrix(text: str) -> IntMatrix:
     if not stripped:
         raise ValueError("empty matrix")
     if stripped.startswith("["):
-        data = json.loads(stripped)
+        try:
+            data = json.loads(stripped)
+        except RecursionError:
+            raise InputError("a JSON matrix must be an array of arrays of integers, "
+                             "not a deeper nesting") from None
         if not isinstance(data, list) or not all(
             isinstance(row, list) and all(type(x) is int for x in row) for row in data
         ):

@@ -7,9 +7,13 @@ indent=2) prints, plus a newline, but written by a small recursive
 writer: with an indent, CPython's json falls back to its pure-Python
 encoder, about four times slower on the polynomial term lists that make
 up most of the output.  The writer formats the shapes the payloads are
-made of (str-keyed dicts, lists of ints, lists of polynomial term dicts)
-itself and hands every other value to json, so the two cannot disagree
-on a value it does not know.
+made of (str-keyed dicts, plain ints, lists of ints, lists of polynomial
+term dicts) itself and hands every other value to json, so the two
+cannot disagree on a value it does not know.  A polynomial term list is
+checked as a whole list, and then every term is written with one `%`
+template built for the list's indent and exponent length; the term's
+den and num strings are escaped by json's own encoder and only then
+substituted, so their text never reaches the template.
 """
 
 from __future__ import annotations
@@ -17,25 +21,26 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
+from operator import itemgetter
 
 from .kernel import BergmanKernelForm, exponent_box
 from .laurent import LaurentPolynomial
 from .oracle import OracleReport
 
-_TERM_KEYS = {"den", "exp", "num"}
 _INT = {int}
+_DEN, _EXP, _NUM = map(itemgetter, ("den", "exp", "num"))
 
 
 def dumps(obj) -> str:
     """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
 
-    Dicts whose keys are all str are written in sorted key order, lists
-    of plain ints (not bools) with one join, and a list of polynomial
-    terms ({"den": str, "exp": [int, ...], "num": str}) one f-string per
-    term.  Scalars, empty containers, dicts with other keys and anything
-    else go to json.dumps itself, re-indented to their depth; json
-    escapes every newline inside a string, so each newline it writes is
-    an indent."""
+    Dicts whose keys are all str are written in sorted key order, plain
+    ints (not bools) with int.__repr__, lists of plain ints with one
+    join, and a list of polynomial terms ({"den": str, "exp": [int, ...],
+    "num": str}, every exp of one length) with one template.  Scalars,
+    empty containers, dicts with other keys and anything else go to
+    json.dumps itself, re-indented to their depth; json escapes every
+    newline inside a string, so each newline it writes is an indent."""
     out: list[str] = []
     _write(obj, "\n", out)
     out.append("\n")
@@ -47,6 +52,8 @@ def _write(obj, nl: str, out: list[str]) -> None:
     t = type(obj)
     if t is str:
         out.append(_str(obj))
+    elif t is int:
+        out.append(int.__repr__(obj))
     elif t is dict and obj and all(type(k) is str for k in obj):
         inner = nl + "  "
         sep = "{" + inner
@@ -59,8 +66,8 @@ def _write(obj, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         if _all_ints(obj):
             out.append(_ints(obj, nl))
-        elif all(map(_is_term, obj)):
-            out.append(f"[{inner}{(',' + inner).join([_term(x, inner) for x in obj])}{nl}]")
+        elif (terms := _terms(obj, inner)) is not None:
+            out.append(f"[{inner}{terms}{nl}]")
         else:
             sep = "[" + inner
             for item in obj:
@@ -72,35 +79,47 @@ def _write(obj, nl: str, out: list[str]) -> None:
         out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
 
 
-def _all_ints(xs: list) -> bool:
+def _all_ints(xs) -> bool:
     """Whether every item is a plain int: bool is an int subclass that
     json writes as true/false."""
     return {*map(type, xs)} <= _INT
 
 
 def _ints(xs: list[int], nl: str) -> str:
-    if not xs:
-        return "[]"
     inner = nl + "  "
     return f"[{inner}{(',' + inner).join(map(str, xs))}{nl}]"
 
 
-def _is_term(x) -> bool:
-    return (
-        type(x) is dict
-        and x.keys() == _TERM_KEYS
-        and type(x["den"]) is str
-        and type(x["num"]) is str
-        and type(x["exp"]) is list
-        and _all_ints(x["exp"])
-    )
-
-
-def _term(x: dict, nl: str) -> str:
-    inner = nl + "  "
-    return (
-        f'{{{inner}"den": {_str(x["den"])},{inner}"exp": {_ints(x["exp"], inner)},'
-        f'{inner}"num": {_str(x["num"])}{nl}}}'
+def _terms(xs: list, nl: str) -> str | None:
+    """The items of a polynomial term list, each at indent nl and joined,
+    or None when xs is not one.  Every item must be a dict with exactly
+    the keys den, exp and num, den and num str, exp a list of plain ints,
+    and every exp of the same length; each check runs over the whole
+    list at once."""
+    if {*map(type, xs)} != {dict} or {*map(len, xs)} != {3}:
+        return None
+    try:
+        dens, exps, nums = [*map(_DEN, xs)], [*map(_EXP, xs)], [*map(_NUM, xs)]
+    except KeyError:
+        return None
+    if (
+        {*map(type, dens), *map(type, nums)} != {str}
+        or {*map(type, exps)} != {list}
+        or len({*map(len, exps)}) != 1
+    ):
+        return None
+    columns = [*zip(*exps)]
+    if not all(map(_all_ints, columns)):
+        return None
+    key = nl + "  "
+    if columns:
+        entry = key + "  "
+        exp = f"[{entry}{(',' + entry).join(['%d'] * len(columns))}{key}]"
+    else:
+        exp = "[]"
+    template = f'{{{key}"den": %s,{key}"exp": {exp},{key}"num": %s{nl}}}'
+    return ("," + nl).join(
+        map(template.__mod__, zip(map(_str, dens), *columns, map(_str, nums)))
     )
 
 

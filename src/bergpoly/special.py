@@ -107,7 +107,7 @@ def kernel_dim2(vm: ValidatedMatrix) -> BergmanKernelForm:
 
     weights = [[a11, a12], [a21, a22]]
     terms = tent_product_over_box(lower, upper, [det_a, det_a], weights, const)
-    numerator = LaurentPolynomial(2, terms)
+    numerator = LaurentPolynomial._from_clean(2, terms)
     factor1 = LaurentPolynomial(2, {(0, a12): 1, (a22, 0): -1})
     factor2 = LaurentPolynomial(2, {(a21, 0): 1, (0, a11): -1})
     return BergmanKernelForm(
@@ -194,7 +194,7 @@ def kernel_signature_one(spec: SignatureOneSpec) -> BergmanKernelForm:
         # l_j(nu_j + 1) <= 2 l_j - 1 + 2K - l_1(nu_1 + 1), worst at nu_1 = 0
         upper.append((2 * ell[j] - 1 + 2 * big_k - ell[0]) // ell[j] - 1)
     terms = tent_product_over_box((0,) * n, tuple(upper), ks, weights, offsets)
-    numerator = LaurentPolynomial(n, terms)
+    numerator = LaurentPolynomial._from_clean(n, terms)
 
     head = {tuple([0] + [x for x in k[1:]]): 1, tuple([k[0]] + [0] * (n - 1)): -1}
     factors = [LaurentPolynomial(n, head)]
@@ -323,7 +323,7 @@ def kernel_generalized_hartogs(spec: GeneralizedHartogsSpec) -> BergmanKernelFor
         offsets.append(const - 2)
     bounds = chain_bounds(spec)
     terms = tent_product_over_box((0,) * n, bounds, m, weights, offsets)
-    numerator = LaurentPolynomial(n, terms)
+    numerator = LaurentPolynomial._from_clean(n, terms)
 
     factors = []
     for j in range(n - 1):

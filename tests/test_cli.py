@@ -300,6 +300,11 @@ class TestUsage:
         ("kernel", "--matrix", "[[true,0],[0,1]]"),
         ("kernel", "--matrix", '[[1,0],[0,"2"]]'),
         ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.1,nan"),
+        ("kernel", "--matrix", "[" * 100_000),
+        ("kernel", "--matrix-file", "/nonexistent/x"),
+        ("kernel", "--matrix-file", "."),
+        ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.5,0.5", "--epsilon", "nan"),
+        ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.5,0.5", "--epsilon", "0"),
     ],
 )
 def test_malformed_input_is_input_error(capsys, argv):

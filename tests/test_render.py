@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bergpoly import IntMatrix, assemble_kernel, render
+from bergpoly import IntMatrix, LaurentPolynomial, assemble_kernel, render
 from bergpoly.int_linalg import matrix_to_json
 from bergpoly.oracle import OracleReport, Window
 
@@ -69,6 +69,74 @@ def test_term_lists_and_near_terms(good, bad):
     assert render.dumps({"terms": good}) == reference({"terms": good})
     mixed = good + bad
     assert render.dumps({"terms": mixed, "n": 2}) == reference({"terms": mixed, "n": 2})
+
+
+# strings that would change a % template if they reached it unescaped
+awkward = st.one_of(
+    st.sampled_from(["%", "%s", "%d", "%%", "%(den)s", '"', "\\", '\\"', "é", "☃\n", "%s\u2028"]),
+    st.text(max_size=6),
+)
+
+
+def uniform_terms(text):
+    """Term lists whose exps all have one length: the template path."""
+    return st.integers(0, 4).flatmap(
+        lambda k: st.lists(
+            st.fixed_dictionaries({
+                "den": text,
+                "exp": st.lists(big_ints, min_size=k, max_size=k),
+                "num": text,
+            }),
+            min_size=1,
+            max_size=5,
+        )
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(uniform_terms(awkward))
+def test_term_strings_never_reach_the_template(xs):
+    assert render._terms(xs, "\n    ") is not None
+    for obj in (xs, {"numerator": {"n": 2, "terms": xs}}):
+        assert render.dumps(obj) == reference(obj)
+
+
+@pytest.mark.parametrize(
+    "xs, templated",
+    [
+        ([{"den": "1", "exp": [], "num": "2"}, {"den": "%s", "exp": [], "num": "%d"}], True),
+        ([{"den": "1", "exp": [1], "num": "2"}, {"den": "1", "exp": [1, 2], "num": "3"}], False),
+        ([{"den": "1", "exp": [1, 2], "num": "2"}, {"den": "1", "exp": [], "num": "3"}], False),
+        ([{"den": "1", "exp": [1, True], "num": "2"}], False),
+        ([{"den": "1", "exp": [1], "num": "2"}, 7, "x", None, {"den": "1", "exp": [3], "num": "4"}], False),
+        ([{"den": "1", "exp": [1], "num": "2"}, {"den": "1", "exp": [1], "num": 2}], False),
+        ([{"den": "1", "exp": [1], "num": "2"}, {"den": "1", "exp": (1,), "num": "2"}], False),
+        ([{"den": "1", "exp": [1], "num": "2", "x": 0}], False),
+        ([{"den": "1", "exp": [1], "nom": "2"}], False),
+        ([{"den": "1", "exp": [1.0], "num": "2"}], False),
+    ],
+)
+def test_term_list_shapes(xs, templated):
+    # equal-length exps of plain ints take the template; anything else
+    # (mixed lengths, a bool, a non-term, a wrong key or type) the
+    # per-item path, and both print what json prints
+    assert (render._terms(xs, "\n  ") is not None) == templated
+    for obj in (xs, {"terms": xs}, [xs, xs]):
+        assert render.dumps(obj) == reference(obj)
+
+
+@pytest.mark.parametrize("x", [2**64, -(2**64), 2**64 - 1, -(2**64) + 1, 0, True, False])
+def test_int_and_bool_scalars(x):
+    for obj in (x, {"n": x}, [x], [{"k": x}, [x, 1]]):
+        assert render.dumps(obj) == reference(obj)
+
+
+def test_fraction_polynomial_terms():
+    p = LaurentPolynomial(2, {(0, 1): Fraction(3, 4), (-1, 2): -5, (2, 0): Fraction(-7, 3)})
+    payload = p.to_json_dict()
+    assert [t["den"] for t in payload["terms"]] == ["1", "4", "3"]
+    assert render.dumps(payload) == reference(payload)
+    assert LaurentPolynomial.from_json_dict(payload) == p
 
 
 @pytest.mark.parametrize(
