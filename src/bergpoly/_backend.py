@@ -7,12 +7,14 @@ and multiplied into the output in place.  The dtype is int64 when the
 exact a-priori bound on the products is below 2**62, and object (exact
 Python integers) otherwise.  The box is filled in slabs of SLAB_POINTS
 points along the first axis, which bounds the temporaries; with jobs > 1
-the same slabs run on a thread pool.
+the same slabs run on a thread pool of at most min(jobs, slabs, cpus)
+threads.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -72,16 +74,24 @@ def fill_products(adj_rows, lo, hi, jobs: int = 1) -> np.ndarray:
     def fill_slab(a: int) -> None:
         b = a + rows
         block = out[a:b]
-        block[...] = 1
+        # column 0 is clamped straight into the slab, every later one into
+        # the same temporary: 3n - 1 slab-sized ufuncs
+        tmp = np.empty_like(block) if n > 1 else None
         for j in range(n):
-            y = axes[0][j][a:b].copy()  # clamped in place below
-            for i in range(1, n):
-                y = y + axes[i][j]
-            block *= np.maximum(y, 0, out=y)
+            dest = block if j == 0 else tmp
+            y = axes[0][j][a:b]
+            for i in range(1, n - 1):
+                y = y + axes[i][j]  # still broadcast, smaller than the slab
+            if n > 1:
+                y = np.add(y, axes[n - 1][j], out=dest)
+            np.maximum(y, 0, out=dest)
+            if j:
+                block *= dest
 
     starts = range(0, shape[0], rows)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(starts), os.cpu_count() or 1) if jobs > 1 else 1
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill_slab, starts))
     else:
         for a in starts:

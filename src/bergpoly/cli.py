@@ -11,8 +11,8 @@ input: exit 1 with one WindowTooLargeError line giving its point count
 and bytes.  `eval --epsilon` is the modulus below which a denominator
 factor counts as singular; one that is not finite or not > 0 would
 turn that guard off and is invalid input (exit 1).  A --matrix-file
-that cannot be read, or a JSON matrix nested too deep to parse, is
-invalid input too.
+that cannot be read, a JSON matrix nested too deep to parse, or a
+--jobs below 1 is invalid input too.
 """
 
 from __future__ import annotations
@@ -68,7 +68,10 @@ def _build_parser() -> _Parser:
         p.add_argument(
             "--format", choices=("json", "latex", "text"), default="json"
         )
-        p.add_argument("--jobs", type=int, default=1, help="parallel window slabs")
+        p.add_argument(
+            "--jobs", type=int, default=1,
+            help="threads for the oracle window fill (at least 1)",
+        )
 
     p_validate = sub.add_parser("validate", help="check a defining matrix")
     add_common(p_validate)
@@ -88,7 +91,8 @@ def _build_parser() -> _Parser:
         "--window",
         type=int,
         default=None,
-        help="window radius (default: 3x the denominator exponent spread)",
+        help="window radius (default: 3 times twice the largest exponent "
+        "spread of one denominator factor in one coordinate)",
     )
 
     p_special = sub.add_parser("special", help="special-family kernel formulas")
@@ -155,6 +159,8 @@ def _default_radius(form) -> int:
 
 
 def _run(args) -> int:
+    if args.jobs < 1:
+        raise InputError(f"--jobs must be at least 1, not {args.jobs}")
     if args.command == "validate":
         vm = prepare(_load_matrix(args))
         payload = {

@@ -31,6 +31,15 @@ box (0 where inadmissible), so the product is exact on a box as soon as
 the series is filled on that box widened by the squared denominator's
 exponent extents: the comparison never truncates, and every point of the
 window is checked.
+
+A valid domain has adj B >= 0, so the admissible exponents form an
+up-set: raising any coordinate of an admissible m keeps every y_j >= 1.
+On a box with upper corner hi, an admissible m therefore has
+m_i >= qlo_i, the least m_i that y_j >= 1 allows when every other
+coordinate sits at hi, for any column j with adj_ij > 0.  The series
+vanishes below qlo on the box, so the product with the denominator
+vanishes below qlo + (the denominator's least exponents), and the
+comparison fills and multiplies only the part of the box above that cut.
 """
 
 from __future__ import annotations
@@ -167,18 +176,40 @@ def _multiply(acc: np.ndarray, terms) -> np.ndarray:
     amin = [min(x) for x in zip(*(a for a, _ in terms))]
     amax = [max(x) for x in zip(*(a for a, _ in terms))]
     shape = tuple(s - (h - l) for s, l, h in zip(acc.shape, amin, amax))
-    out = None
-    for a, c in terms:
-        part = acc[tuple(slice(h - x, h - x + s) for h, x, s in zip(amax, a, shape))]
-        if out is None:
-            out = part * c
-        elif c == 1:  # +-1, the coefficients of every binomial, need no temporary
+    parts = [
+        (acc[tuple(slice(h - x, h - x + s) for h, x, s in zip(amax, a, shape))], c)
+        for a, c in terms
+    ]
+    if len(parts) == 2 and {c for _, c in parts} == {1, -1}:  # one ufunc
+        (x, cx), (y, _) = parts
+        return np.subtract(x, y) if cx == 1 else np.subtract(y, x)
+    out = parts[0][0] * parts[0][1]
+    for part, c in parts[1:]:
+        if c == 1:
             out += part
         elif c == -1:
             out -= part
         else:
             out += part * c
     return out
+
+
+def _admissible_floor(adj_rows, lo, hi) -> tuple[int, ...]:
+    """Per coordinate i, a lower bound on m_i over the admissible m of the
+    box lo..hi, clipped to lo_i.  With adj >= 0, y_j = sum_l (m_l + 1) adj_lj
+    >= 1 and m_l <= hi_l for l != i give, for every j with adj_ij > 0,
+    m_i >= ceil((1 - sum_(l != i) (hi_l + 1) adj_lj) / adj_ij) - 1."""
+    n = len(adj_rows)
+    cols = [sum((h + 1) * adj_rows[l][j] for l, h in enumerate(hi)) for j in range(n)]
+    floor = []
+    for i in range(n):
+        q = lo[i]
+        for j, a in enumerate(adj_rows[i]):
+            if a > 0:
+                rest = cols[j] - (hi[i] + 1) * a
+                q = max(q, -((rest - 1) // a) - 1)
+        floor.append(q)
+    return tuple(floor)
 
 
 def compare_with_closed_form(
@@ -195,17 +226,24 @@ def compare_with_closed_form(
     mismatches are reported as coefficients of the series times the
     denominator, closed form first.
 
-    Nothing is truncated.  The series is filled over the hull, the compared
-    box widened by the squared denominator's exponent extents (twice the
-    sum over the factors of their per-coordinate min/max exponents), and
-    the fill is exact at every hull point, 0 where a point is
-    inadmissible.  Each factor then multiplies the hull twice, one shifted
-    sum per pass, and after the 2n passes the array covers exactly the
-    compared box.  The report's safe box is the compared box, and
+    Nothing is truncated.  The product at a point of the compared box
+    needs the series on the hull, the compared box widened by the squared
+    denominator's exponent extents (twice the sum over the factors of
+    their per-coordinate min/max exponents), and the fill is exact at
+    every hull point, 0 where a point is inadmissible.  Since adj B >= 0,
+    the admissible exponents form an up-set, so on the hull every one has
+    m >= qlo (`_admissible_floor`), and the product vanishes wherever some
+    e_i < qlo_i + dmin_i.  Only the part of the compared box at or above
+    elo = max(lo, qlo + dmin) is computed: the series is filled on
+    elo - dmax .. the hull's upper corner, each factor multiplies it
+    twice, one shifted sum per pass, and after the 2n passes the array
+    covers exactly elo..hi.  Numerator terms below the cut are compared
+    with 0.  The report's safe box is the whole compared box, and
     `checked` counts its points; no window is too small.
 
-    The accumulator is int64 when product_bound(hull) * prod_f (sum |c_f|)^2
-    < 2**62 (4**n for +-1 binomials), exact Python integers otherwise.
+    The accumulator is int64 when product_bound(filled box) *
+    prod_f (sum |c_f|)^2 < 2**62 (4**n for +-1 binomials), exact Python
+    integers otherwise.
     """
     if form is None:
         form = assemble_kernel(vm)
@@ -219,18 +257,24 @@ def compare_with_closed_form(
     num = form.numerator
     lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
     hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
 
     hull_lo = tuple(l - d for l, d in zip(lo, dmax))
     hull_hi = tuple(h - d for h, d in zip(hi, dmin))
     adj_rows = [list(r) for r in vm.adj.rows]
-    acc = _backend.fill_products(adj_rows, hull_lo, hull_hi, jobs=jobs)
+    qlo = _admissible_floor(adj_rows, hull_lo, hull_hi)
+    # at most hi + 1, where the cut box is empty
+    elo = tuple(min(max(l, a + d), h + 1) for l, a, d, h in zip(lo, qlo, dmin, hi))
+    fill_lo = tuple(e - d for e, d in zip(elo, dmax))
+    shape = tuple(h - e + 1 for e, h in zip(elo, hi))
+    acc = _backend.fill_products(adj_rows, fill_lo, hull_hi, jobs=jobs)
     dtype = _accumulator_dtype(
-        _backend.product_bound(adj_rows, hull_lo, hull_hi), factors
+        _backend.product_bound(adj_rows, fill_lo, hull_hi), factors
     )
-    terms = [(e, int(c)) for e, c in num.items()]
+    terms, below = [], []
+    for e, c in num.items():
+        (terms if all(x >= l for x, l in zip(e, elo)) else below).append((e, int(c)))
     idx = tuple(
-        np.array([e[i] - lo[i] for e, _ in terms], dtype=np.intp) for i in range(n)
+        np.array([e[i] - elo[i] for e, _ in terms], dtype=np.intp) for i in range(n)
     )
     try:
         acc = acc.astype(dtype, copy=False)
@@ -243,7 +287,7 @@ def compare_with_closed_form(
     except MemoryError:
         points = math.prod(shape)
         raise WindowTooLargeError(
-            f"the oracle comparison grid {lo}..{hi} has {points} points; "
+            f"the oracle comparison grid {elo}..{hi} has {points} points; "
             f"multiplying the hull by the denominator needs at least "
             f"{points * np.dtype(dtype).itemsize} bytes beside the hull, more "
             "than can be allocated"
@@ -251,15 +295,16 @@ def compare_with_closed_form(
 
     # p and q scale Python integers only, so the accumulator's bound holds
     wrong = {e: (c, g) for (e, c), g in zip(terms, got.tolist()) if q * g != p * c}
+    wrong.update((e, (c, 0)) for e, c in below if p * c)  # the product is 0 there
     flat = acc.reshape(-1)
     for i in extra:
         offs = np.unravel_index(int(i), shape)
-        wrong[tuple(l + int(o) for l, o in zip(lo, offs))] = (0, int(flat[i]))
+        wrong[tuple(l + int(o) for l, o in zip(elo, offs))] = (0, int(flat[i]))
     mismatches = tuple(
         (e, Fraction(p * c, q * det_adj), Fraction(g, det_adj))
         for e, (c, g) in sorted(wrong.items())
     )
-    checked = math.prod(shape)
+    checked = math.prod(h - l + 1 for l, h in zip(lo, hi))
     return OracleReport(
         checked=checked,
         matched=checked - len(mismatches),

@@ -1,9 +1,15 @@
 """Slow, obviously correct references that the tests compare the package
 against."""
 
+import math
 from fractions import Fraction
 
+import numpy as np
+
 from bergpoly import DimensionMismatchError, DivisionByZeroPolynomialError, LaurentPolynomial
+from bergpoly import _backend
+from bergpoly.kernel import assemble_kernel
+from bergpoly.oracle import OracleReport
 
 
 def try_exact_divide(num: LaurentPolynomial, divisor: LaurentPolynomial):
@@ -49,4 +55,56 @@ def try_exact_divide(num: LaurentPolynomial, divisor: LaurentPolynomial):
     shift_back = tuple(a - b for a, b in zip(s_num, s_div))
     return LaurentPolynomial(
         num.n, {tuple(a + b for a, b in zip(e, shift_back)): c for e, c in quot.items()}
+    )
+
+
+def compare_uncut(vm, window, form=None):
+    """The oracle comparison without the admissible cut: the series is
+    filled over the whole hull (the compared box widened by the squared
+    denominator's exponent extents), in exact Python integers, and each
+    factor multiplies it twice as a plain sum of c * shifted hull over its
+    terms; every point of the compared box is then read off the product."""
+    if form is None:
+        form = assemble_kernel(vm)
+    n = vm.n
+    det_adj = vm.det ** (n - 1)
+    ratio = det_adj * Fraction(form.prefactor)
+    p, q = ratio.numerator, ratio.denominator
+    dmin = [2 * sum(x) for x in zip(*(f.min_exponents() for f in form.factors))]
+    dmax = [2 * sum(x) for x in zip(*(f.max_exponents() for f in form.factors))]
+    num = form.numerator
+    lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
+    hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
+    adj_rows = [list(r) for r in vm.adj.rows]
+    acc = _backend.fill_products(
+        adj_rows,
+        tuple(l - d for l, d in zip(lo, dmax)),
+        tuple(h - d for h, d in zip(hi, dmin)),
+    ).astype(object)
+    for f in form.factors:
+        terms = [(e, int(c)) for e, c in f.items()]
+        amin = [min(x) for x in zip(*(a for a, _ in terms))]
+        amax = [max(x) for x in zip(*(a for a, _ in terms))]
+        for _ in range(2):
+            shape = tuple(s - (h - l) for s, l, h in zip(acc.shape, amin, amax))
+            acc = sum(
+                acc[tuple(slice(h - x, h - x + s) for h, x, s in zip(amax, a, shape))] * c
+                for a, c in terms
+            )
+    assert acc.shape == tuple(h - l + 1 for l, h in zip(lo, hi))
+    mismatches = []
+    for offs in np.ndindex(acc.shape):
+        e = tuple(l + o for l, o in zip(lo, offs))
+        c = int(num.coefficient(e))
+        g = int(acc[offs])
+        if q * g != p * c:
+            mismatches.append((e, Fraction(p * c, q * det_adj), Fraction(g, det_adj)))
+    checked = math.prod(acc.shape)
+    return OracleReport(
+        checked=checked,
+        matched=checked - len(mismatches),
+        mismatches=tuple(mismatches),
+        safe_lower=lo,
+        safe_upper=hi,
+        window=window,
     )

@@ -76,3 +76,37 @@ def test_slab_parallel_fill_matches_serial():
     a = _backend.fill_products(adj, (-6, -6), (9, 9), jobs=1)
     b = _backend.fill_products(adj, (-6, -6), (9, 9), jobs=4)
     assert np.array_equal(a, b)
+
+
+def test_thread_pool_is_bounded(monkeypatch):
+    # at most min(jobs, slabs, cpus) threads; the recorder starts none and
+    # runs the slabs in this thread
+    workers = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    adj, lo, hi = [[2, 1, 0], [1, 1, 1], [0, 0, 3]], (-20, -20, -20), (20, 20, 20)
+    slabs = len(range(0, 41, _backend.SLAB_POINTS // 41**2))
+    assert slabs == 2
+    serial = _backend.fill_products(adj, lo, hi)
+    monkeypatch.setattr(_backend, "ThreadPoolExecutor", Recorder)
+    for cpus, jobs, want in ((8, 10**9, [2]), (1, 4, []), (8, 1, []), (8, 0, []), (8, 2, [2])):
+        monkeypatch.setattr(_backend.os, "cpu_count", lambda: cpus)
+        workers.clear()
+        assert np.array_equal(_backend.fill_products(adj, lo, hi, jobs=jobs), serial)
+        assert workers == want
+    monkeypatch.setattr(_backend.os, "cpu_count", lambda: 2)
+    workers.clear()
+    _backend.fill_products(adj, (-60,) * 3, (60,) * 3, jobs=10**9)
+    assert workers == [2]

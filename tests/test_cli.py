@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import resource
@@ -6,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bergpoly
 from bergpoly import cli
@@ -305,6 +309,8 @@ class TestUsage:
         ("kernel", "--matrix-file", "."),
         ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.5,0.5", "--epsilon", "nan"),
         ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.5,0.5", "--epsilon", "0"),
+        ("verify", "--matrix", "2 -1 / 0 1", "--jobs", "0"),
+        ("kernel", "--matrix", "2 -1 / 0 1", "--jobs", "-3"),
     ],
 )
 def test_malformed_input_is_input_error(capsys, argv):
@@ -334,3 +340,160 @@ def test_calls_in_sequence_match_calls_alone(capsys, calls, codes):
         alone.append(run(capsys, *argv)[:2])
     assert together == alone
     assert [code for code, _ in together] == codes
+
+
+# -- fuzzing malformed input ---------------------------------------------
+
+# no digits, whitespace or "/": a token drawn from here is never an integer;
+# without i, j and n it is never a complex number either ("j", "nan", "inf")
+GARBAGE = "abcdegkmoqrstuvwxyz.;:+-*_=!?#%&()'\"{}<>"
+garbage = st.text(alphabet=GARBAGE, min_size=1, max_size=6)
+
+
+@st.composite
+def bad_matrix_texts(draw):
+    """Matrix text or JSON that must be refused: a non-integer token, ragged
+    or empty rows, a singular or unbounded integer matrix, a 1x1 matrix, or
+    JSON that is not an array of arrays of integers."""
+    n = draw(st.integers(2, 3))
+    rows = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    kind = draw(st.sampled_from(
+        ("token", "ragged", "empty_row", "zero_row", "equal_rows", "unbounded",
+         "one_by_one", "json_entry", "json_shape", "json_syntax")
+    ))
+    if kind == "token":
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(garbage)
+    elif kind == "ragged":
+        rows[draw(st.integers(0, n - 1))].append(draw(st.integers(-3, 3)))
+    elif kind == "empty_row":
+        rows.insert(draw(st.integers(1, n - 1)), [])  # not stripped away
+    elif kind == "zero_row":
+        rows[draw(st.integers(0, n - 1))] = [0] * n
+    elif kind == "equal_rows":
+        rows[1] = list(rows[0])
+    elif kind == "unbounded":
+        # triangular, positive diagonal, one positive entry off it: the
+        # inverse has a negative entry there, so adj B is not >= 0
+        rows = [[draw(st.integers(1, 3)) if i == j else 0 for j in range(n)]
+                for i in range(n)]
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i < j]))
+        rows[i][j] = draw(st.integers(1, 3))
+    elif kind == "one_by_one":
+        rows = [[draw(st.integers(-3, 3))]]
+    if kind == "json_entry":
+        bad = draw(st.sampled_from(("1.5", "true", "null", '"2"', "[1]", "1e400", "{}")))
+        cells = [[str(x) for x in r] for r in rows]
+        cells[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = bad
+        return "[" + ",".join("[" + ",".join(r) + "]" for r in cells) + "]"
+    if kind == "json_shape":
+        return draw(st.sampled_from(("[]", "[[]]", "[1,2]", "[[1,0],[0]]", '["1 0","0 1"]',
+                                     "[[[1]],[[0]]]", "[{}]", "[" * 50)))
+    if kind == "json_syntax":
+        text = json.dumps(rows)
+        return text[: draw(st.integers(1, len(text) - 1))]
+    sep = draw(st.sampled_from((" / ", "\n")))
+    return sep.join(" ".join(str(x) for x in r) for r in rows)
+
+
+@st.composite
+def bad_points(draw):
+    """--point-p text that must be refused: a non-finite or unparsable
+    coordinate, an empty one, or the wrong number of coordinates."""
+    kind = draw(st.sampled_from(("garbage", "nonfinite", "empty", "count")))
+    count = draw(st.sampled_from((1, 3))) if kind == "count" else 2  # the matrix is 2x2
+    coords = [str(draw(st.floats(0.1, 0.6))) for _ in range(count)]
+    if kind != "count":
+        coords[draw(st.integers(0, 1))] = {
+            "garbage": draw(garbage),
+            "nonfinite": draw(st.sampled_from(("nan", "inf", "-inf", "1e999", "nanj"))),
+            "empty": "",
+        }[kind]
+    return ",".join(coords)
+
+
+bad_params = st.one_of(
+    garbage,
+    st.integers(1, 9).map(str),  # one exponent
+    st.lists(st.integers(1, 4).map(lambda x: 2 * x), min_size=2, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))),  # a common factor 2
+    st.lists(st.integers(-3, 0), min_size=2, max_size=3).map(
+        lambda xs: ",".join(map(str, xs))),  # not positive
+)
+bad_epsilons = st.one_of(
+    st.sampled_from(("nan", "inf", "-inf", "0", "-0.0")),
+    st.floats(max_value=-1e-300, allow_nan=False).map(repr),
+    garbage,
+)
+bad_windows = st.one_of(st.integers(-3, -1).map(str), garbage)
+
+
+@st.composite
+def malformed_calls(draw):
+    """A CLI call with at least one malformed option and every other
+    option its command needs well formed; an option the command does not
+    have is a usage error."""
+    command = draw(st.sampled_from(("validate", "kernel", "eval", "verify", "special")))
+    argv = [command]
+    family = None
+    own = {
+        "validate": ("matrix",),
+        "kernel": ("matrix",),
+        "eval": ("matrix", "point", "epsilon"),
+        "verify": ("matrix", "window"),
+    }.get(command)
+    if command == "special":
+        family = draw(st.sampled_from(("det1", "dim2", "sig1", "pz")))
+        argv += ["--family", family]
+        # sig1 and pz read --params and ignore --matrix, det1 and dim2 the
+        # other way round
+        own = ("params",) if family in ("sig1", "pz") else ("matrix",)
+    faults = set(draw(st.lists(st.sampled_from(own + ("jobs",)), min_size=1, max_size=3)))
+    if draw(st.integers(0, 4)) == 0:  # an option the command may not have
+        faults.add(draw(st.sampled_from(("point", "epsilon", "window"))))
+    needed = {
+        "matrix": family not in ("sig1", "pz"),
+        "params": family in ("sig1", "pz"),
+        "point": command == "eval",
+        "epsilon": False,
+        "window": command == "verify",
+    }
+    bad = {
+        "matrix": bad_matrix_texts(),
+        "params": bad_params,
+        "point": bad_points(),
+        "epsilon": bad_epsilons,
+        "window": bad_windows,
+    }
+    good = {
+        "matrix": st.just("2 -1 / 0 1"),
+        "params": st.just("2,3"),
+        "point": st.just("0.3,0.4"),
+        "window": st.integers(0, 3).map(str),
+    }
+    for name, flag in (("matrix", "--matrix"), ("params", "--params"),
+                       ("point", "--point-p"), ("epsilon", "--epsilon"),
+                       ("window", "--window")):
+        if name in faults:
+            argv += [flag, draw(bad[name])]
+        elif needed[name]:
+            argv += [flag, draw(good[name])]
+    jobs = draw(st.integers(-3, 0) if "jobs" in faults else st.integers(1, 2))
+    return argv + ["--jobs", str(jobs)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_calls())
+def test_fuzzed_malformed_input(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    lines = err.getvalue().splitlines()
+    assert "Traceback" not in err.getvalue()
+    assert out.getvalue() == ""
+    if code == 1:
+        assert len(lines) == 1 and lines[0]
+    else:
+        assert code == 64
+        assert lines[0].startswith("usage: bergpoly")
+        assert lines[-1].startswith("bergpoly") and ": error: " in lines[-1]

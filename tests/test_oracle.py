@@ -2,9 +2,12 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from bergpoly import (
@@ -24,6 +27,7 @@ from bergpoly.kernel import BergmanKernelForm
 from bergpoly.laurent import LaurentPolynomial
 from bergpoly.special import SignatureOneSpec, kernel_signature_one, signature_matrix
 
+from _reference import compare_uncut
 from conftest import sample_interior_point
 
 
@@ -239,6 +243,17 @@ class TestCompare:
                    for ex, c in terms)
         assert big[7, 6] == want
 
+    @pytest.mark.parametrize("dtype", [np.int64, object])
+    def test_binomial_pass_is_shifted_difference(self, worked_vm, dtype):
+        # the one-subtraction path, either coefficient first
+        adj = [list(r) for r in worked_vm.adj.rows]
+        hull = _backend.fill_products(adj, (-4, -3), (9, 8)).astype(dtype)
+        for terms in ([((0, 1), 1), ((2, 0), -1)], [((0, 1), -1), ((2, 0), 1)]):
+            got = oracle._multiply(hull, terms)
+            want = sum(hull[2 - a:14 - a, 1 - b:12 - b] * c for (a, b), c in terms)
+            assert got.dtype == hull.dtype and got.shape == (12, 11)
+            assert np.array_equal(got, want)
+
     def test_jobs_deterministic(self, worked_vm):
         w = Window.of((-2, -2), (12, 12))
         a = compare_with_closed_form(worked_vm, w, jobs=1)
@@ -247,6 +262,132 @@ class TestCompare:
             b.checked,
             b.matched,
             b.mismatches,
+        )
+
+
+def _with_term(form, e, c):
+    """form with its numerator's coefficient at e set to c (0 removes it)."""
+    terms = dict(form.numerator.items())
+    terms[tuple(e)] = c
+    return dataclasses.replace(form, numerator=LaurentPolynomial(form.n, terms))
+
+
+def _cut(vm, form, window):
+    """(lo, elo): the compared box's lower corner and the cut below which
+    the series times the denominator vanishes."""
+    num = form.numerator
+    dmin = [2 * sum(x) for x in zip(*(f.min_exponents() for f in form.factors))]
+    dmax = [2 * sum(x) for x in zip(*(f.max_exponents() for f in form.factors))]
+    lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
+    hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
+    adj = [list(r) for r in vm.adj.rows]
+    qlo = oracle._admissible_floor(
+        adj,
+        tuple(l - d for l, d in zip(lo, dmax)),
+        tuple(h - d for h, d in zip(hi, dmin)),
+    )
+    return lo, tuple(min(max(l, a + d), h + 1) for l, a, d, h in zip(lo, qlo, dmin, hi))
+
+
+@st.composite
+def cut_cases(draw, family_2x2, family_3x3):
+    """A valid 2x2 or 3x3 matrix, a window (often away from the origin), a
+    form with a non-default prefactor or a corrupted numerator term above
+    the cut, inside the cut strip or below the compared box, and whether to
+    force the object accumulator."""
+    vm = draw(st.sampled_from(draw(st.sampled_from((family_2x2, family_3x3)))))
+    n = vm.n
+    lower = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
+    width = draw(st.lists(st.integers(0, 5 if n == 2 else 3), min_size=n, max_size=n))
+    window = Window.of(lower, [l + w for l, w in zip(lower, width)])
+    form = assemble_kernel(vm)
+    scale = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    form = dataclasses.replace(form, prefactor=scale * form.prefactor)
+    where = draw(st.sampled_from(("none", "above", "strip", "below")))
+    lo, elo = _cut(vm, form, window)
+    hi = tuple(max(w, e) for w, e in zip(window.upper, form.numerator.max_exponents()))
+    if where == "above" and all(e <= h for e, h in zip(elo, hi)):
+        e = [draw(st.integers(a, h)) for a, h in zip(elo, hi)]
+    elif where == "strip" and any(l < a for l, a in zip(lo, elo)):
+        i = draw(st.sampled_from([i for i in range(n) if lo[i] < elo[i]]))
+        e = [draw(st.integers(l, h)) for l, h in zip(lo, hi)]
+        e[i] = draw(st.integers(lo[i], elo[i] - 1))
+    elif where == "below":
+        e = [draw(st.integers(l - 3, h)) for l, h in zip(lo, hi)]
+        i = draw(st.integers(0, n - 1))
+        e[i] = lo[i] - draw(st.integers(1, 3))
+    else:
+        e = None
+    if e is not None:
+        c = draw(st.integers(-3, 3))
+        form = _with_term(form, e, c if c != form.numerator.coefficient(e) else c + 1)
+    return vm, window, form, draw(st.booleans())
+
+
+class TestAdmissibleCut:
+    """The cut comparison against the uncut reference in tests/_reference."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_report_equals_uncut_reference(self, data, family_2x2, family_3x3):
+        vm, window, form, force_object = data.draw(cut_cases(family_2x2, family_3x3))
+        want = compare_uncut(vm, window, form=form)
+        if force_object:
+            with mock.patch.object(oracle, "_accumulator_dtype", lambda *_: object):
+                got = compare_with_closed_form(vm, window, form=form)
+        else:
+            got = compare_with_closed_form(vm, window, form=form)
+        assert got == want
+
+    def test_cut_on_every_coordinate(self, worked_vm):
+        # the floor rises above the hull's lower corner on both axes, the
+        # fill shrinks, and a term below the cut still reports (c, 0)
+        window = Window.cube(2, 3)
+        form = _with_term(assemble_kernel(worked_vm), (-2, 1), 5)
+        fills = []
+        fill = _backend.fill_products
+
+        def recording(adj, lo, hi, jobs=1):
+            fills.append((tuple(lo), tuple(hi)))
+            return fill(adj, lo, hi, jobs=jobs)
+
+        with mock.patch.object(_backend, "fill_products", recording):
+            got = compare_with_closed_form(worked_vm, window, form=form)
+            want = compare_uncut(worked_vm, window, form=form)
+        assert got == want
+        (cut_lo, cut_hi), (hull_lo, hull_hi) = fills
+        assert cut_hi == hull_hi
+        assert all(c > h for c, h in zip(cut_lo, hull_lo))
+        lo, elo = _cut(worked_vm, form, window)
+        assert (lo, elo) == ((-3, -3), (0, -2))
+        assert got.mismatches == (((-2, 1), Fraction(5, 2), 0),)
+
+    def test_hull_without_admissible_points(self, worked_vm):
+        # every hull point inadmissible: the cut box is empty, and every
+        # numerator term is compared with 0
+        window = Window.of((-9, -9), (-8, -8))
+        form = dataclasses.replace(
+            assemble_kernel(worked_vm),
+            numerator=LaurentPolynomial(2, {(-9, -8): 1}),
+        )
+        got = compare_with_closed_form(worked_vm, window, form=form)
+        assert got == compare_uncut(worked_vm, window, form=form)
+        assert [e for e, _, _ in got.mismatches] == [(-9, -8)]
+
+
+@pytest.mark.parametrize(
+    "n, count, radius",
+    [(4, 12, 4), (5, 8, 3), (6, 2, 2)],
+)
+def test_oracle_sweep_beyond_n3(n, count, radius):
+    for vm in families.valid_family(n, count):
+        form = assemble_kernel(vm)
+        rep = compare_with_closed_form(vm, Window.cube(n, radius), form=form)
+        assert rep.ok
+        assert rep.safe_lower == tuple(min(-radius, e) for e in form.numerator.min_exponents())
+        assert rep.safe_upper == tuple(max(radius, e) for e in form.numerator.max_exponents())
+        assert rep.checked == rep.matched == math.prod(
+            h - l + 1 for l, h in zip(rep.safe_lower, rep.safe_upper)
         )
 
 
