@@ -18,6 +18,7 @@ from .errors import (
     MatrixTooLargeError,
     NonConvergentError,
     NotUnimodularError,
+    NumeratorTooLargeError,
     PoleAtZeroError,
     SingularMatrixError,
     UnboundedDomainError,
@@ -36,7 +37,6 @@ from .int_linalg import (
     prepare,
     row_gcd,
     sign_split,
-    validate_defining,
 )
 from .kernel import (
     BergmanKernelForm,

@@ -3,16 +3,30 @@
 Commands: validate, kernel, eval, verify, special.  Results go to stdout
 (deterministic JSON by default; latex/text on request), diagnostics to
 stderr.  Exit codes: 0 success, 1 invalid input, 2 verification
-mismatch, 3 internal canonicity violation, 64 usage error.  `verify`
-compares every point of the window together with the numerator's
-bounding box (the report's `safeBox`), so no window is too small; one
-whose oracle hull or comparison grid cannot be allocated is invalid
-input: exit 1 with one WindowTooLargeError line giving its point count
-and bytes.  `eval --epsilon` is the modulus below which a denominator
-factor counts as singular; one that is not finite or not > 0 would
-turn that guard off and is invalid input (exit 1).  A --matrix-file
-that cannot be read, a JSON matrix nested too deep to parse, or a
---jobs below 1 is invalid input too.
+mismatch, 3 internal canonicity violation, 64 usage error.
+
+Each command takes only the options it reads; any other option is a
+usage error (exit 64):
+  validate  --matrix | --matrix-file
+  kernel    --matrix | --matrix-file, --format
+  eval      --matrix | --matrix-file, --format, --point-p, --point-q, --epsilon
+  verify    --matrix | --matrix-file, --window, --jobs
+  special   --family, --format, and --matrix | --matrix-file for det1 and
+            dim2 or --params for sig1 and pz
+`special` refuses the other family kind's input (--params for det1 or
+dim2, a matrix for sig1 or pz) as invalid input: exit 1.
+
+`verify` compares every point of the window together with the
+numerator's bounding box (the report's `safeBox`), so no window is too
+small; one whose oracle hull or comparison grid cannot be allocated is
+invalid input: exit 1 with one WindowTooLargeError line giving its point
+count and bytes.  A numerator too large to enumerate in memory is
+invalid input too: exit 1 with one NumeratorTooLargeError line.
+`eval --epsilon` is the modulus below which a denominator factor counts
+as singular; one that is not finite or not > 0 would turn that guard off
+and is invalid input (exit 1).  A --matrix-file that cannot be read, a
+JSON matrix nested too deep to parse, or a --jobs below 1 is invalid
+input too.
 """
 
 from __future__ import annotations
@@ -61,32 +75,26 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="bergpoly", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, matrix=True):
-        if matrix:
-            p.add_argument("--matrix", help='inline matrix, rows split by "/"')
-            p.add_argument("--matrix-file", help="file with one row per line")
+    def add_matrix(p):
+        p.add_argument("--matrix", help='inline matrix, rows split by "/"')
+        p.add_argument("--matrix-file", help="file with one row per line")
+        return p
+
+    def add_format(p):
         p.add_argument(
             "--format", choices=("json", "latex", "text"), default="json"
         )
-        p.add_argument(
-            "--jobs", type=int, default=1,
-            help="threads for the oracle window fill (at least 1)",
-        )
+        return p
 
-    p_validate = sub.add_parser("validate", help="check a defining matrix")
-    add_common(p_validate)
+    add_matrix(sub.add_parser("validate", help="check a defining matrix"))
+    add_format(add_matrix(sub.add_parser("kernel", help="emit the canonical kernel form")))
 
-    p_kernel = sub.add_parser("kernel", help="emit the canonical kernel form")
-    add_common(p_kernel)
-
-    p_eval = sub.add_parser("eval", help="evaluate the kernel at points")
-    add_common(p_eval)
+    p_eval = add_format(add_matrix(sub.add_parser("eval", help="evaluate the kernel at points")))
     p_eval.add_argument("--point-p", required=True, help="comma-separated complex")
     p_eval.add_argument("--point-q", help="defaults to --point-p")
     p_eval.add_argument("--epsilon", type=float, default=1e-12)
 
-    p_verify = sub.add_parser("verify", help="series-oracle comparison")
-    add_common(p_verify)
+    p_verify = add_matrix(sub.add_parser("verify", help="series-oracle comparison"))
     p_verify.add_argument(
         "--window",
         type=int,
@@ -94,9 +102,14 @@ def _build_parser() -> _Parser:
         help="window radius (default: 3 times twice the largest exponent "
         "spread of one denominator factor in one coordinate)",
     )
+    p_verify.add_argument(
+        "--jobs", type=int, default=1,
+        help="threads for the oracle window fill (at least 1)",
+    )
 
-    p_special = sub.add_parser("special", help="special-family kernel formulas")
-    add_common(p_special)
+    p_special = add_format(add_matrix(
+        sub.add_parser("special", help="special-family kernel formulas")
+    ))
     p_special.add_argument(
         "--family", choices=("det1", "dim2", "sig1", "pz"), required=True
     )
@@ -105,11 +118,11 @@ def _build_parser() -> _Parser:
 
 
 def _load_matrix(args) -> IntMatrix:
-    if getattr(args, "matrix", None) and getattr(args, "matrix_file", None):
+    if args.matrix and args.matrix_file:
         raise InputError("give either --matrix or --matrix-file, not both")
-    if getattr(args, "matrix", None):
+    if args.matrix:
         return parse_matrix(args.matrix)
-    if getattr(args, "matrix_file", None):
+    if args.matrix_file:
         try:
             text = Path(args.matrix_file).read_text()
         except OSError as exc:
@@ -159,8 +172,6 @@ def _default_radius(form) -> int:
 
 
 def _run(args) -> int:
-    if args.jobs < 1:
-        raise InputError(f"--jobs must be at least 1, not {args.jobs}")
     if args.command == "validate":
         vm = prepare(_load_matrix(args))
         payload = {
@@ -194,6 +205,8 @@ def _run(args) -> int:
         return 0
 
     if args.command == "verify":
+        if args.jobs < 1:
+            raise InputError(f"--jobs must be at least 1, not {args.jobs}")
         vm = prepare(_load_matrix(args))
         form = assemble_kernel(vm)
         radius = args.window if args.window is not None else _default_radius(form)
@@ -206,6 +219,11 @@ def _run(args) -> int:
         return 0
 
     if args.command == "special":
+        if args.family in ("sig1", "pz"):
+            if args.matrix is not None or args.matrix_file is not None:
+                raise InputError(f"--family {args.family} takes --params, not a matrix")
+        elif args.params is not None:
+            raise InputError(f"--family {args.family} takes a matrix, not --params")
         if args.family == "det1":
             form = kernel_unimodular(prepare(_load_matrix(args)))
         elif args.family == "dim2":

@@ -33,6 +33,10 @@ class WindowTooLargeError(InputError):
     """The oracle's window hull or comparison grid is too large to allocate."""
 
 
+class NumeratorTooLargeError(InputError):
+    """The numerator's term enumeration does not fit in memory."""
+
+
 class InvalidKError(InputError):
     """Tent coefficient requested with k < 1."""
 

@@ -17,10 +17,8 @@ from .errors import InputError
 from .int_linalg import (
     IntMatrix,
     ValidatedMatrix,
-    determinant,
     normalize,
     prepare,
-    validate_defining,
 )
 from .special import GeneralizedHartogsSpec, SignatureOneSpec
 
@@ -151,16 +149,13 @@ def valid_family(n: int, count: int, seed: int = 11, max_det: int = 8) -> list[V
         p = _permutation_matrix(n, rng)
         m = p @ m @ p.transpose()
         try:
-            nm = normalize(m)
+            vm = prepare(m)
         except InputError:
             continue
-        if not 1 <= nm.det <= max_det or nm.matrix.rows in seen:
+        if not 1 <= vm.det <= max_det or vm.matrix.rows in seen:
             continue
-        verdict = validate_defining(nm)
-        if not verdict.accepted:
-            continue
-        seen.add(nm.matrix.rows)
-        out.append(ValidatedMatrix(nm.matrix, nm.det, verdict.adjugate))
+        seen.add(vm.matrix.rows)
+        out.append(vm)
     if len(out) < count:
         raise RuntimeError(f"could only generate {len(out)} of {count} matrices")
     return out
@@ -178,10 +173,10 @@ def normalized_family(n: int, count: int, seed: int = 13, max_abs: int = 3) -> l
         )
         if any(not any(r) for r in rows):
             continue
-        m = IntMatrix(rows)
-        if determinant(m) == 0:
+        try:
+            nm = normalize(IntMatrix(rows))
+        except InputError:  # singular
             continue
-        nm = normalize(m)
         if nm.matrix.rows in seen:
             continue
         seen.add(nm.matrix.rows)

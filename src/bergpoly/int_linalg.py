@@ -8,6 +8,11 @@ makes det B > 0 with coprime rows, the sign split B = B_+ - B_-, and the
 validation rule (adj B >= 0 elementwise) deciding whether B defines a
 bounded domain at all.
 
+One fraction-free Gauss-Jordan elimination gives both det and adj of a
+matrix; `normalize` runs it once and carries adj B along, and `prepare`
+only scans that adjugate for a negative entry.  There is no separate
+validation type: a ValidatedMatrix is a NormalizedMatrix that passed.
+
 Indexing convention: entry(j, k) is row j, column k, zero-based.  Rows of
 B carry the monomial exponents; columns enter the numerator bounds.
 """
@@ -114,57 +119,16 @@ class IntMatrix:
         return f"IntMatrix({list(map(list, self.rows))})"
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant by fraction-free Bareiss elimination.
+def _eliminate(m: IntMatrix) -> tuple[int, IntMatrix | None]:
+    """(det M, adj M) from one fraction-free Gauss-Jordan elimination of
+    [M | I] (Bareiss 1968), or (0, None) when some column has no pivot.
 
-    All intermediate quantities are integers (each division is exact),
-    which keeps growth polynomial and avoids rationals entirely.
+    Every division is exact, so all intermediate quantities are integers.
+    After the last pivot the left half is det(PM) * I and the right half
+    det(PM) (PM)^-1 P = sign * adj M, where P holds the row swaps and
+    sign = det P.
     """
     n = m.n
-    a = [list(r) for r in m.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def _minor_det(m: IntMatrix, drop_row: int, drop_col: int) -> int:
-    sub = tuple(
-        tuple(x for c, x in enumerate(r) if c != drop_col)
-        for i, r in enumerate(m.rows)
-        if i != drop_row
-    )
-    return determinant(IntMatrix._from_rows(sub))
-
-
-def adjugate(m: IntMatrix) -> IntMatrix:
-    """Transposed cofactor matrix: adj(M)[j][k] = (-1)^(j+k) det(M minus row k, col j).
-
-    Satisfies M @ adj(M) = det(M) * I exactly, for singular M included.
-
-    One fraction-free Gauss-Jordan elimination of [M | I] (Bareiss 1968)
-    gives it: every division is exact, and after the last pivot the left
-    half is det(PM) * I and the right half det(PM) (PM)^-1 P = sign * adj M,
-    where P holds the row swaps and sign = det P.  When some column has no
-    pivot, det M = 0 and the entries come from the n^2 minors instead.
-    """
-    n = m.n
-    if n == 2:
-        (a, b), (c, d) = m.rows
-        return IntMatrix._from_rows(((d, -b), (-c, a)))
     aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(m.rows)]
     sign = 1
     prev = 1
@@ -172,12 +136,7 @@ def adjugate(m: IntMatrix) -> IntMatrix:
         if aug[k][k] == 0:
             swap = next((r for r in range(k + 1, n) if aug[r][k]), None)
             if swap is None:
-                return IntMatrix._from_rows(
-                    tuple(
-                        tuple((-1) ** (r + c) * _minor_det(m, c, r) for c in range(n))
-                        for r in range(n)
-                    )
-                )
+                return 0, None
             aug[k], aug[swap] = aug[swap], aug[k]
             sign = -sign
         pivot_row = aug[k]
@@ -188,7 +147,34 @@ def adjugate(m: IntMatrix) -> IntMatrix:
                 f = row[k]
                 aug[i] = [(pivot * x - f * y) // prev for x, y in zip(row, pivot_row)]
         prev = pivot
-    return IntMatrix._from_rows(tuple(tuple(sign * x for x in r[n:]) for r in aug))
+    return sign * prev, IntMatrix._from_rows(tuple(tuple(sign * x for x in r[n:]) for r in aug))
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant, by the elimination of _eliminate."""
+    return _eliminate(m)[0]
+
+
+def adjugate(m: IntMatrix) -> IntMatrix:
+    """Transposed cofactor matrix: adj(M)[j][k] = (-1)^(j+k) det(M minus row k, col j).
+
+    Satisfies M @ adj(M) = det(M) * I exactly, for singular M included:
+    when the elimination finds no pivot (det M = 0), the entries come from
+    the n^2 minors instead.
+    """
+    adj = _eliminate(m)[1]
+    if adj is not None:
+        return adj
+    n = m.n
+
+    def minor(row, col):
+        return IntMatrix._from_rows(tuple(
+            tuple(x for c, x in enumerate(r) if c != col) for i, r in enumerate(m.rows) if i != row
+        ))
+
+    return IntMatrix._from_rows(tuple(
+        tuple((-1) ** (j + k) * determinant(minor(k, j)) for k in range(n)) for j in range(n)
+    ))
 
 
 def row_gcd(v: Sequence[int]) -> int:
@@ -217,55 +203,8 @@ def sign_split(m: IntMatrix) -> SignSplit:
 
 @dataclass(frozen=True)
 class NormalizedMatrix:
-    """Defining matrix after normalization: det > 0 and every row gcd 1."""
-
-    matrix: IntMatrix
-    det: int
-
-    @property
-    def n(self) -> int:
-        return self.matrix.n
-
-
-def normalize(m: IntMatrix) -> NormalizedMatrix:
-    """Divide each row by its gcd, then fix the determinant sign.
-
-    Both steps leave the domain unchanged: scaling a row rescales one
-    monomial inequality by a positive power, and permuting rows permutes
-    the inequalities.  A single transposition of the last two rows flips
-    a negative determinant; the choice is fixed for determinism.
-    Idempotent.  Raises SingularMatrixError when det = 0 (the sublevel
-    sets then fail to cut out an open set).
-    """
-    if any(all(x == 0 for x in r) for r in m.rows):
-        raise SingularMatrixError("zero row: matrix is singular")
-    rows = []
-    for r in m.rows:
-        g = row_gcd(r)
-        rows.append(tuple(x // g for x in r))
-    reduced = IntMatrix._from_rows(tuple(rows))
-    det = determinant(reduced)
-    if det == 0:
-        raise SingularMatrixError("det B = 0: the domain would not be open")
-    if det < 0:
-        rows[-2], rows[-1] = rows[-1], rows[-2]
-        reduced = IntMatrix._from_rows(tuple(rows))
-        det = -det
-    return NormalizedMatrix(reduced, det)
-
-
-@dataclass(frozen=True)
-class Validation:
-    """Outcome of the boundedness test, carrying adj B for reuse."""
-
-    accepted: bool
-    adjugate: IntMatrix
-    negative_entry: tuple[int, int] | None
-
-
-@dataclass(frozen=True)
-class ValidatedMatrix:
-    """Normalized defining matrix that passed validation, with its adjugate."""
+    """Defining matrix after normalization: det > 0 and every row gcd 1,
+    with its adjugate."""
 
     matrix: IntMatrix
     det: int
@@ -276,31 +215,56 @@ class ValidatedMatrix:
         return self.matrix.n
 
 
-def validate_defining(nm: NormalizedMatrix) -> Validation:
-    """Accept iff every entry of adj B is >= 0 (equivalently det*B^-1 >= 0).
+@dataclass(frozen=True)
+class ValidatedMatrix(NormalizedMatrix):
+    """Normalized defining matrix whose adjugate is >= 0 elementwise."""
 
-    Nonnegativity of B^-1 characterizes defining matrices of bounded
-    monomial polyhedra; a negative adjugate entry means some coordinate
-    escapes to infinity inside the sublevel sets.
+
+def normalize(m: IntMatrix) -> NormalizedMatrix:
+    """Divide each row by its gcd, then fix the determinant sign.
+
+    Both steps leave the domain unchanged: scaling a row rescales one
+    monomial inequality by a positive power, and permuting rows permutes
+    the inequalities.  A single transposition P of the last two rows flips
+    a negative determinant; the choice is fixed for determinism.  One
+    elimination gives det and adj of the reduced matrix M, and
+    adj(PM) = adj(M) adj(P) = -adj(M) P follows by negating adj M and
+    swapping its last two columns.
+    Idempotent.  Raises SingularMatrixError when det = 0 (the sublevel
+    sets then fail to cut out an open set).
     """
-    adj = adjugate(nm.matrix)
-    for j in range(nm.n):
-        for k in range(nm.n):
-            if adj.entry(j, k) < 0:
-                return Validation(False, adj, (j, k))
-    return Validation(True, adj, None)
+    if any(all(x == 0 for x in r) for r in m.rows):
+        raise SingularMatrixError("zero row: matrix is singular")
+    rows = [tuple(x // g for x in r) for r in m.rows for g in (row_gcd(r),)]
+    det, adj = _eliminate(IntMatrix._from_rows(tuple(rows)))
+    if det == 0:
+        raise SingularMatrixError("det B = 0: the domain would not be open")
+    if det < 0:
+        rows[-2], rows[-1] = rows[-1], rows[-2]
+        det = -det
+        adj = IntMatrix._from_rows(
+            tuple((*(-x for x in r[:-2]), -r[-1], -r[-2]) for r in adj.rows)
+        )
+    return NormalizedMatrix(IntMatrix._from_rows(tuple(rows)), det, adj)
 
 
 def prepare(m: IntMatrix | NormalizedMatrix) -> ValidatedMatrix:
-    """normalize + validate, raising on failure; the standard entry point."""
+    """normalize, then accept iff every entry of adj B is >= 0
+    (equivalently det * B^-1 >= 0); the standard entry point.
+
+    Nonnegativity of B^-1 characterizes defining matrices of bounded
+    monomial polyhedra; a negative adjugate entry means some coordinate
+    escapes to infinity inside the sublevel sets, and raises
+    UnboundedDomainError naming the first such entry in row-major order.
+    """
     nm = m if isinstance(m, NormalizedMatrix) else normalize(m)
-    verdict = validate_defining(nm)
-    if not verdict.accepted:
-        j, k = verdict.negative_entry  # type: ignore[misc]
-        raise UnboundedDomainError(
-            f"adjugate entry ({j},{k}) is negative: the domain is unbounded"
-        )
-    return ValidatedMatrix(nm.matrix, nm.det, verdict.adjugate)
+    for j, row in enumerate(nm.adj.rows):
+        for k, x in enumerate(row):
+            if x < 0:
+                raise UnboundedDomainError(
+                    f"adjugate entry ({j},{k}) is negative: the domain is unbounded"
+                )
+    return ValidatedMatrix(nm.matrix, nm.det, nm.adj)
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -109,17 +109,13 @@ def numerator_polynomial(vm: ValidatedMatrix) -> LaurentPolynomial:
 
 def denominator_factors(vm: ValidatedMatrix) -> list[LaurentPolynomial]:
     """One unsquared binomial t^((b_-)^j) - t^((b_+)^j) per row of B;
-    squaring is implicit in the assembled form."""
+    squaring is implicit in the assembled form.  A normalized row is
+    nonzero, so its two exponent vectors differ."""
     split = sign_split(vm.matrix)
-    out = []
-    for j in range(vm.n):
-        terms = {}
-        minus_e = split.minus.row(j)
-        plus_e = split.plus.row(j)
-        terms[minus_e] = terms.get(minus_e, 0) + 1
-        terms[plus_e] = terms.get(plus_e, 0) - 1
-        out.append(LaurentPolynomial(vm.n, terms))
-    return out
+    return [
+        LaurentPolynomial._from_clean(vm.n, {minus: 1, plus: -1})
+        for minus, plus in zip(split.minus.rows, split.plus.rows)
+    ]
 
 
 def irreducibility_precondition(vm: ValidatedMatrix, j: int) -> bool:

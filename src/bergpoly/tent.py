@@ -21,6 +21,9 @@ Both dtypes share the path: int64 when max(prod_j k_j, r_i, |off_j| + 2k_j
 Python integers.  The last term bounds every partial argument, rest and
 interval end, r_i every coordinate and prod_j k_j every product of tent
 values (each at most k_j); so a difference of two stays below 2**63.
+
+A level whose rows do not fit in memory raises NumeratorTooLargeError
+naming the level and its row count, not a bare MemoryError.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidKError
+from .errors import InvalidKError, NumeratorTooLargeError
 
 _INT64_SAFE = 2**62
 
@@ -108,21 +111,30 @@ def tent_product_over_box(
     box = np.array([(-lo, hi) for lo, hi in zip(lower, upper)], dtype=dtype)
     w = np.array(weights, dtype=dtype)
 
-    # rows: the prefixes, coordinates in columns :n and partial arguments after
+    # rows: the prefixes, coordinates in columns :n and partial arguments
+    # after; level i + 1 holds counts.sum() rows, known before repeat runs
     rows = np.zeros((1, n + m), dtype=dtype)
     rows[0, n:] = offsets
-    for i, step in enumerate(steps):
-        # -low and high of every prefix's interval for v_i
-        neg_low, high = np.minimum(
-            ((rows[:, None, n:] * step[:2] + step[2:4]) // step[4]).min(axis=2), box[i]
-        ).T
-        counts = np.maximum(neg_low + high + 1, 0).astype(np.intp, copy=False)
-        rows = rows.repeat(counts, axis=0)
-        v = np.arange(len(rows)) - (np.cumsum(counts) - counts + neg_low).repeat(counts)
-        rows[:, i] = v
-        rows[:, n:] += np.multiply.outer(v, w[i])
+    level = size = 0
+    try:
+        for i, step in enumerate(steps):
+            # -low and high of every prefix's interval for v_i
+            neg_low, high = np.minimum(
+                ((rows[:, None, n:] * step[:2] + step[2:4]) // step[4]).min(axis=2), box[i]
+            ).T
+            counts = np.maximum(neg_low + high + 1, 0).astype(np.intp, copy=False)
+            level, size = i + 1, int(counts.sum())
+            rows = rows.repeat(counts, axis=0)
+            v = np.arange(len(rows)) - (np.cumsum(counts) - counts + neg_low).repeat(counts)
+            rows[:, i] = v
+            rows[:, n:] += np.multiply.outer(v, w[i])
 
-    # every argument r lies in [0, 2k - 2], where tent(k, r) = k - |r - k + 1|
-    k = np.array(ks, dtype=dtype)
-    vals = (k - abs(rows[:, n:] - (k - 1))).prod(axis=1)
-    return dict(zip(map(tuple, rows[:, :n].tolist()), vals.tolist()))
+        # every argument r lies in [0, 2k - 2], where tent(k, r) = k - |r - k + 1|
+        k = np.array(ks, dtype=dtype)
+        vals = (k - abs(rows[:, n:] - (k - 1))).prod(axis=1)
+        return dict(zip(map(tuple, rows[:, :n].tolist()), vals.tolist()))
+    except MemoryError:
+        raise NumeratorTooLargeError(
+            f"the numerator enumeration in dimension {n} ran out of memory at "
+            f"level {level} of {n}, which has {size} rows"
+        ) from None

@@ -122,6 +122,32 @@ class TestKernel:
         assert code == 0
         assert "t2" in out and "pi^2" in out
 
+    def test_numerator_out_of_memory_is_input_error(self):
+        # det 2,997,001: the enumerator's second level already holds about
+        # 1.2e7 prefix rows, and the numerator has far more terms than a
+        # 1.5 GB address space limit leaves room for.  Never run this
+        # matrix without a memory limit.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (15 * 10**8, 15 * 10**8))
+
+        src = str(Path(bergpoly.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
+                   OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "bergpoly.cli", "kernel", "--matrix",
+             "1000 -999 0 / 0 1000 -999 / -999 0 1000"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=limit_memory,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and "Traceback" not in proc.stderr
+        assert lines[0].startswith(
+            "NumeratorTooLargeError: the numerator enumeration in dimension 3 "
+            "ran out of memory at level ")
+
 
 class TestEval:
     def test_hartogs_point(self, capsys):
@@ -310,13 +336,35 @@ class TestUsage:
         ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.5,0.5", "--epsilon", "nan"),
         ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.5,0.5", "--epsilon", "0"),
         ("verify", "--matrix", "2 -1 / 0 1", "--jobs", "0"),
-        ("kernel", "--matrix", "2 -1 / 0 1", "--jobs", "-3"),
+        # a special family refuses the other family kind's input
+        ("special", "--family", "sig1", "--params", "2,3", "--matrix", "1 0 / 0 1"),
+        ("special", "--family", "pz", "--params", "1,1", "--matrix-file", "m.txt"),
+        ("special", "--family", "dim2", "--matrix", "3 -2 / -1 1", "--params", "abc"),
+        ("special", "--family", "det1", "--matrix", "1 -1 / 0 1", "--params", "2,3"),
     ],
 )
 def test_malformed_input_is_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("InputError: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("kernel", "--matrix", "2 -1 / 0 1", "--jobs", "-3"),
+        ("kernel", "--matrix", "2 -1 / 0 1", "--jobs", "2"),
+        ("validate", "--matrix", "2 -1 / 0 1", "--jobs", "1"),
+        ("eval", "--matrix", "2 -1 / 0 1", "--point-p", "0.1,0.1", "--jobs", "2"),
+        ("special", "--family", "pz", "--params", "1,1", "--jobs", "2"),
+        ("validate", "--matrix", "2 -1 / 0 1", "--format", "latex"),
+        ("verify", "--matrix", "2 -1 / 0 1", "--format", "json"),
+    ],
+)
+def test_option_the_command_does_not_read_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 64 and out == ""
+    assert err.splitlines()[-1].startswith("bergpoly: error: unrecognized arguments: ")
 
 
 @pytest.mark.parametrize(
@@ -426,13 +474,18 @@ bad_epsilons = st.one_of(
     garbage,
 )
 bad_windows = st.one_of(st.integers(-3, -1).map(str), garbage)
+# below 1 for verify; any --jobs is a usage error elsewhere
+bad_jobs = st.integers(-3, 0).map(str)
+# not a choice; any --format is a usage error for validate and verify
+bad_formats = st.one_of(st.sampled_from(("xml", "JSON")), garbage)
 
 
 @st.composite
 def malformed_calls(draw):
     """A CLI call with at least one malformed option and every other
-    option its command needs well formed; an option the command does not
-    have is a usage error."""
+    option its command needs well formed, and the exit code it must give
+    when that is known; an option the command does not have is a usage
+    error."""
     command = draw(st.sampled_from(("validate", "kernel", "eval", "verify", "special")))
     argv = [command]
     family = None
@@ -440,23 +493,25 @@ def malformed_calls(draw):
         "validate": ("matrix",),
         "kernel": ("matrix",),
         "eval": ("matrix", "point", "epsilon"),
-        "verify": ("matrix", "window"),
+        "verify": ("matrix", "window", "jobs"),
     }.get(command)
     if command == "special":
         family = draw(st.sampled_from(("det1", "dim2", "sig1", "pz")))
         argv += ["--family", family]
-        # sig1 and pz read --params and ignore --matrix, det1 and dim2 the
-        # other way round
-        own = ("params",) if family in ("sig1", "pz") else ("matrix",)
-    faults = set(draw(st.lists(st.sampled_from(own + ("jobs",)), min_size=1, max_size=3)))
+        # sig1 and pz read --params and refuse a matrix, det1 and dim2 the
+        # other way round: the other kind's input is a fault of its own
+        own = ("params", "foreign") if family in ("sig1", "pz") else ("matrix", "foreign")
+    faults = set(draw(st.lists(st.sampled_from(own), min_size=1, max_size=3)))
     if draw(st.integers(0, 4)) == 0:  # an option the command may not have
-        faults.add(draw(st.sampled_from(("point", "epsilon", "window"))))
+        faults.add(draw(st.sampled_from(("point", "epsilon", "window", "jobs", "format"))))
     needed = {
         "matrix": family not in ("sig1", "pz"),
         "params": family in ("sig1", "pz"),
         "point": command == "eval",
         "epsilon": False,
         "window": command == "verify",
+        "jobs": command == "verify",
+        "format": False,
     }
     bad = {
         "matrix": bad_matrix_texts(),
@@ -464,33 +519,41 @@ def malformed_calls(draw):
         "point": bad_points(),
         "epsilon": bad_epsilons,
         "window": bad_windows,
+        "jobs": bad_jobs,
+        "format": bad_formats,
     }
     good = {
         "matrix": st.just("2 -1 / 0 1"),
         "params": st.just("2,3"),
         "point": st.just("0.3,0.4"),
         "window": st.integers(0, 3).map(str),
+        "jobs": st.integers(1, 2).map(str),
     }
     for name, flag in (("matrix", "--matrix"), ("params", "--params"),
                        ("point", "--point-p"), ("epsilon", "--epsilon"),
-                       ("window", "--window")):
+                       ("window", "--window"), ("jobs", "--jobs"),
+                       ("format", "--format")):
         if name in faults:
             argv += [flag, draw(bad[name])]
         elif needed[name]:
             argv += [flag, draw(good[name])]
-    jobs = draw(st.integers(-3, 0) if "jobs" in faults else st.integers(1, 2))
-    return argv + ["--jobs", str(jobs)]
+    if "foreign" in faults:
+        # well formed, but the input of the other family kind
+        argv += ["--matrix", "2 -1 / 0 1"] if needed["params"] else ["--params", "2,3"]
+    return argv, 1 if faults == {"foreign"} else None
 
 
 @settings(max_examples=300, deadline=None)
 @given(malformed_calls())
-def test_fuzzed_malformed_input(argv):
+def test_fuzzed_malformed_input(call):
+    argv, expected = call
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     lines = err.getvalue().splitlines()
     assert "Traceback" not in err.getvalue()
     assert out.getvalue() == ""
+    assert expected in (None, code)
     if code == 1:
         assert len(lines) == 1 and lines[0]
     else:

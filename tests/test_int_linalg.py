@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bergpoly import (
@@ -15,7 +15,6 @@ from bergpoly import (
     prepare,
     row_gcd,
     sign_split,
-    validate_defining,
 )
 from bergpoly.families import normalized_family
 from bergpoly.special import GeneralizedHartogsSpec, chain_matrix
@@ -115,14 +114,14 @@ def cofactor_adjugate(rows):
 
 
 @st.composite
-def adjugate_inputs(draw):
-    """n = 3..6 matrices with entries beyond 2^64, some singular (a row
+def adjugate_inputs(draw, min_n=3, shapes=("plain", "swaps", "dependent", "zero_column")):
+    """n = min_n..6 matrices with entries beyond 2^64, some singular (a row
     repeated or scaled, or a zero column) and some with zero leading
     entries, which force row swaps."""
-    n = draw(st.integers(3, 6))
+    n = draw(st.integers(min_n, 6))
     entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
     rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    shape = draw(st.sampled_from(("plain", "swaps", "dependent", "zero_column")))
+    shape = draw(st.sampled_from(shapes))
     if shape == "swaps":
         # a zero top-left block: the first pivots must come from lower rows
         z = draw(st.integers(1, n - 1))
@@ -189,23 +188,45 @@ class TestNormalize:
         with pytest.raises(SingularMatrixError):
             normalize(IntMatrix(((0, 0), (1, 2))))
 
+    def test_carries_adjugate(self):
+        for m in normalized_family(4, 20, seed=9):
+            assert normalize(m).adj == adjugate(m)
+
+    @settings(max_examples=150, deadline=None)
+    @given(adjugate_inputs(min_n=2, shapes=("plain", "swaps")))
+    def test_sign_fix_adjugate(self, rows):
+        # det < 0: normalize swaps the last two rows and derives adj of the
+        # swapped matrix from adj of the reduced one, adj(PM) = -adj(M) P
+        assume(all(any(r) for r in rows))
+        det = determinant(IntMatrix(rows))
+        assume(det != 0)
+        if det > 0:
+            rows[0], rows[1] = rows[1], rows[0]
+        reduced = [[x // row_gcd(r) for x in r] for r in rows]
+        swapped = IntMatrix(reduced[:-2] + [reduced[-1], reduced[-2]])
+        nm = normalize(IntMatrix(rows))
+        assert nm.matrix == swapped
+        assert nm.det == determinant(swapped) > 0
+        assert nm.adj == adjugate(swapped)
+
 
 class TestValidate:
     def test_hartogs_accepted(self):
-        verdict = validate_defining(normalize(IntMatrix(((1, -1), (0, 1)))))
-        assert verdict.accepted
-        assert verdict.adjugate == IntMatrix(((1, 1), (0, 1)))
+        vm = prepare(IntMatrix(((1, -1), (0, 1))))
+        assert vm.det == 1
+        assert vm.adj == IntMatrix(((1, 1), (0, 1)))
 
     def test_unbounded(self):
-        verdict = validate_defining(normalize(IntMatrix(((1, 1), (0, 1)))))
-        assert not verdict.accepted
-        assert verdict.negative_entry == (0, 1)
-        with pytest.raises(UnboundedDomainError):
+        with pytest.raises(UnboundedDomainError, match=r"adjugate entry \(0,1\) is negative"):
             prepare(IntMatrix(((1, 1), (0, 1))))
+        # the first negative entry in row-major order is named
+        with pytest.raises(UnboundedDomainError, match=r"\(1,2\)"):
+            prepare(IntMatrix(((1, 0, 0), (0, 1, 1), (0, 0, 1))))
 
     def test_polydisc_accepted(self):
         for n in (2, 3, 4):
-            assert validate_defining(normalize(IntMatrix.identity(n))).accepted
+            vm = prepare(IntMatrix.identity(n))
+            assert vm.det == 1 and vm.adj == IntMatrix.identity(n)
 
 
 class TestSignSplit:
