@@ -23,6 +23,7 @@ from .errors import WindowTooLargeError
 
 _INT64_SAFE = 2**62
 SLAB_POINTS = 2**16
+_MAX_BYTES = np.iinfo(np.intp).max
 
 
 def product_bound(adj_rows, lo, hi) -> int:
@@ -41,7 +42,7 @@ def fill_products(adj_rows, lo, hi, jobs: int = 1) -> np.ndarray:
     """Dense C-order array over the box lo..hi of prod_j ((m+1) @ adj)_j,
     with 0 marking inadmissible exponents.  dtype is int64 when the exact
     bound allows, object otherwise.  Raises WindowTooLargeError when the
-    array cannot be allocated."""
+    array cannot be allocated or has more bytes than any array can hold."""
     lo = tuple(int(x) for x in lo)
     hi = tuple(int(x) for x in hi)
     shape = tuple(h - l + 1 for l, h in zip(lo, hi))
@@ -49,10 +50,13 @@ def fill_products(adj_rows, lo, hi, jobs: int = 1) -> np.ndarray:
         return np.zeros(tuple(max(s, 0) for s in shape), dtype=np.int64)
 
     dtype = object if product_bound(adj_rows, lo, hi) >= _INT64_SAFE else np.int64
+    points = math.prod(shape)
     try:
+        # numpy refuses an array of more bytes than an intp can count
+        if points * np.dtype(dtype).itemsize > _MAX_BYTES:
+            raise MemoryError
         out = np.empty(shape, dtype=dtype)
     except MemoryError:
-        points = math.prod(shape)
         raise WindowTooLargeError(
             f"the oracle hull {lo}..{hi} has {points} points and needs "
             f"{points * np.dtype(dtype).itemsize} bytes, more than can be allocated"

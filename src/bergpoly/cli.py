@@ -25,8 +25,8 @@ invalid input too: exit 1 with one NumeratorTooLargeError line.
 `eval --epsilon` is the modulus below which a denominator factor counts
 as singular; one that is not finite or not > 0 would turn that guard off
 and is invalid input (exit 1).  A --matrix-file that cannot be read, a
-JSON matrix nested too deep to parse, or a --jobs below 1 is invalid
-input too.
+JSON matrix nested too deep to parse, a --jobs below 1 or a --window
+below 0 is invalid input too.
 """
 
 from __future__ import annotations
@@ -207,6 +207,8 @@ def _run(args) -> int:
     if args.command == "verify":
         if args.jobs < 1:
             raise InputError(f"--jobs must be at least 1, not {args.jobs}")
+        if args.window is not None and args.window < 0:
+            raise InputError(f"--window must be at least 0, not {args.window}")
         vm = prepare(_load_matrix(args))
         form = assemble_kernel(vm)
         radius = args.window if args.window is not None else _default_radius(form)

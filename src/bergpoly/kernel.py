@@ -31,7 +31,6 @@ from .int_linalg import (
     ValidatedMatrix,
     prepare,
     row_gcd,
-    sign_split,
 )
 from .laurent import LaurentPolynomial
 from .tent import tent, tent_product_over_box
@@ -62,18 +61,16 @@ def box_ceiling(vm: ValidatedMatrix, j: int) -> int:
 
 
 def exponent_box(vm: ValidatedMatrix) -> ExponentBox:
-    n = vm.n
     colsums = vm.matrix.column_abs_sums()
-    ceilings = tuple(box_ceiling(vm, j) for j in range(n))
+    ceilings = tuple(-((-s) // vm.det) for s in colsums)
     lower = tuple(c - 1 for c in ceilings)
     upper = tuple(2 * s - 1 - c for s, c in zip(colsums, ceilings))
     return ExponentBox(lower, upper, ceilings)
 
 
 def _shift_vector(vm: ValidatedMatrix) -> tuple[int, ...]:
-    """Row vector 1 - 2 * (column sums of B_-)."""
-    minus = sign_split(vm.matrix).minus
-    return tuple(1 - 2 * s for s in minus.column_abs_sums())
+    """Row vector 1 - 2 * (column sums of B_-), read off the rows of B."""
+    return tuple(1 + 2 * sum(min(x, 0) for x in col) for col in zip(*vm.matrix.rows))
 
 
 def numerator_coefficient(vm: ValidatedMatrix, nu: Sequence[int]) -> int:
@@ -90,19 +87,19 @@ def numerator_coefficient(vm: ValidatedMatrix, nu: Sequence[int]) -> int:
     return out
 
 
-def numerator_polynomial(vm: ValidatedMatrix) -> LaurentPolynomial:
-    """Sum of c(nu) t^nu over the exponent box (exponents all >= 0)."""
-    box = exponent_box(vm)
+def numerator_polynomial(
+    vm: ValidatedMatrix, box: ExponentBox | None = None
+) -> LaurentPolynomial:
+    """Sum of c(nu) t^nu over the exponent box (exponents all >= 0); box,
+    when given, must be exponent_box(vm)."""
+    if box is None:
+        box = exponent_box(vm)
     if box.is_empty():
         return LaurentPolynomial.zero(vm.n)
     shift = _shift_vector(vm)
-    weights = [list(vm.adj.row(i)) for i in range(vm.n)]
-    offsets = [
-        sum(shift[i] * vm.adj.entry(i, j) for i in range(vm.n)) - 1
-        for j in range(vm.n)
-    ]
+    offsets = [sum(s * a for s, a in zip(shift, col)) - 1 for col in zip(*vm.adj.rows)]
     terms = tent_product_over_box(
-        box.lower, box.upper, [vm.det] * vm.n, weights, offsets
+        box.lower, box.upper, [vm.det] * vm.n, vm.adj.rows, offsets
     )
     return LaurentPolynomial._from_clean(vm.n, terms)
 
@@ -111,10 +108,11 @@ def denominator_factors(vm: ValidatedMatrix) -> list[LaurentPolynomial]:
     """One unsquared binomial t^((b_-)^j) - t^((b_+)^j) per row of B;
     squaring is implicit in the assembled form.  A normalized row is
     nonzero, so its two exponent vectors differ."""
-    split = sign_split(vm.matrix)
     return [
-        LaurentPolynomial._from_clean(vm.n, {minus: 1, plus: -1})
-        for minus, plus in zip(split.minus.rows, split.plus.rows)
+        LaurentPolynomial._from_clean(
+            vm.n, {tuple(max(-x, 0) for x in row): 1, tuple(max(x, 0) for x in row): -1}
+        )
+        for row in vm.matrix.rows
     ]
 
 
@@ -235,7 +233,7 @@ def assemble_kernel(
     """
     vm = m if isinstance(m, ValidatedMatrix) else prepare(m)
     box = exponent_box(vm)
-    numerator = numerator_polynomial(vm)
+    numerator = numerator_polynomial(vm, box)
     if numerator.is_zero():
         raise CanonicityViolationError(
             "empty numerator: a Bergman kernel cannot vanish identically"

@@ -22,6 +22,21 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_limited(limit, *argv, **env):
+    """The CLI in a subprocess whose address space is capped at limit bytes,
+    with env added to its environment."""
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(bergpoly.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""), **env)
+    return subprocess.run(
+        [sys.executable, "-m", "bergpoly.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+    )
+
+
 class TestValidate:
     def test_accept(self, capsys):
         code, out, _ = run(capsys, "validate", "--matrix", "1 -1 / 0 1")
@@ -127,19 +142,9 @@ class TestKernel:
         # 1.2e7 prefix rows, and the numerator has far more terms than a
         # 1.5 GB address space limit leaves room for.  Never run this
         # matrix without a memory limit.
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (15 * 10**8, 15 * 10**8))
-
-        src = str(Path(bergpoly.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""),
-                   OPENBLAS_NUM_THREADS="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "bergpoly.cli", "kernel", "--matrix",
-             "1000 -999 0 / 0 1000 -999 / -999 0 1000"],
-            env=env, capture_output=True, text=True, timeout=120,
-            preexec_fn=limit_memory,
-        )
+        proc = run_limited(15 * 10**8, "kernel", "--matrix",
+                           "1000 -999 0 / 0 1000 -999 / -999 0 1000",
+                           OPENBLAS_NUM_THREADS="1")
         assert proc.returncode == 1
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
@@ -249,20 +254,9 @@ class TestVerify:
         # 40 GB) cannot be allocated; at radius 19 the hull (1.5 GB) is
         # filled but the first pass over it (1.4 GB more) cannot be.
         # Either must end in one typed line.
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
-
-        src = str(Path(bergpoly.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
         matrix = "2 -1 0 0 0 / 0 2 -1 0 0 / 0 0 2 -1 0 / 0 0 0 2 -1 / -1 0 0 0 2"
         for window, stage in (("40", "the oracle hull"), ("19", "the oracle comparison grid")):
-            proc = subprocess.run(
-                [sys.executable, "-m", "bergpoly.cli", "verify", "--matrix", matrix,
-                 "--window", window],
-                env=env, capture_output=True, text=True, timeout=120,
-                preexec_fn=limit_memory,
-            )
+            proc = run_limited(3 * 10**9, "verify", "--matrix", matrix, "--window", window)
             assert proc.returncode == 1
             assert proc.stdout == ""
             lines = proc.stderr.splitlines()
@@ -336,6 +330,7 @@ class TestUsage:
         ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.5,0.5", "--epsilon", "nan"),
         ("eval", "--matrix", "1 -1 / 0 1", "--point-p", "0.5,0.5", "--epsilon", "0"),
         ("verify", "--matrix", "2 -1 / 0 1", "--jobs", "0"),
+        ("verify", "--matrix", "2 -1 / 0 1", "--window", "-1"),
         # a special family refuses the other family kind's input
         ("special", "--family", "sig1", "--params", "2,3", "--matrix", "1 0 / 0 1"),
         ("special", "--family", "pz", "--params", "1,1", "--matrix-file", "m.txt"),
@@ -347,6 +342,26 @@ def test_malformed_input_is_input_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("InputError: ")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("special", "--family", "sig1", "--params", "99999999999999999999999,1"),
+         "NumeratorTooLargeError"),
+        (("special", "--family", "sig1", "--params", "999999999999999999,1"),
+         "NumeratorTooLargeError"),
+        (("kernel", "--matrix", "3000000000000000000 -1 / -1 1"), "NumeratorTooLargeError"),
+        (("verify", "--matrix", "1 0 / 0 1", "--window", "3000000000"), "WindowTooLargeError"),
+    ],
+)
+def test_size_no_array_can_hold_is_input_error(argv, error):
+    # each numerator level or oracle hull has more bytes than numpy lets one
+    # array have, so it must be refused by its size before any allocation
+    proc = run_limited(15 * 10**8, *argv, OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(error + ": "), proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bergpoly import InvalidKError, tent, tent_coefficients
+from bergpoly import InvalidKError, NumeratorTooLargeError, tent, tent_coefficients
 from bergpoly.tent import _dtype, tent_product_over_box
 
 
@@ -148,3 +148,18 @@ class TestBoxProduct:
         out = tent_product_over_box((0,), (10,), [2], [[1]], [-5])
         # only arguments in [0, 2] survive: v in [5, 7]
         assert set(out) == {(5,), (6,), (7,)}
+
+    def test_row_count_past_int64(self):
+        # int64 arguments, but four prefixes of 2**61 + 1 points each: the
+        # row count passes 2**63, so it is counted exactly and refused
+        rows = 4 * (2**61 + 1)
+        with pytest.raises(NumeratorTooLargeError, match=f"level 2 of 2, which has {rows} rows"):
+            tent_product_over_box((0, 0), (3, 2**61), [3], [[1], [0]], [0])
+
+    def test_weight_of_coordinate_fixed_at_zero(self):
+        # the weight moves nothing, however large
+        assert tent_product_over_box((0,), (0,), [3], [[2**70]], [1]) == {(0,): 2}
+
+    def test_no_coordinates(self):
+        assert tent_product_over_box((), (), [3, 2], [], [2, 1]) == {(): 6}
+        assert tent_product_over_box((), (), [3], [], [5]) == {}
