@@ -1,7 +1,6 @@
 """Per-call time of the numerator enumerator on each workload's own calls.
 
-    python3 benchmarks/enumerator.py --seed 1 --parent ../parent-checkout \
-        --pairs 10 --passes 25
+    python3 benchmarks/enumerator.py --seed 1 --parent ../parent-checkout --pairs 10
 
 Captures every `tent_product_over_box` call that one round of each
 perfbench workload makes, by wrapping the function's bindings in
@@ -9,12 +8,11 @@ perfbench workload makes, by wrapping the function's bindings in
 process on this checkout's bergpoly (perfbench is imported, never
 changed).  It then times the captured calls in subprocesses, once on the
 parent checkout's `src/` and once on this one's per pair, alternating
-which side goes first (pair 1 parent first, pair 2 change first, ...).
-Each subprocess runs every workload's calls once untimed and then
---passes times, the workloads taking turns, and reports each workload's
-best pass in microseconds per call.  Every side must return the same
-items in the same order for every call, or the script stops with exit
-code 1.
+which side goes first as benchmarks/pairs.py does.  Each subprocess runs
+every workload's calls once untimed and then PASSES times, the workloads
+taking turns, and reports each workload's best pass in microseconds per
+call.  Every side must return the same items in the same order for every
+call, or the script stops with exit code 1.
 
 It prints each workload's per-pair values, both sides' medians and
 quartiles, the ratio of the medians, the median of the per-pair ratios
@@ -28,8 +26,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
-import platform
 import statistics
 import subprocess
 import sys
@@ -37,16 +33,11 @@ import tempfile
 import time
 from pathlib import Path
 
+from pairs import alternate, record, summary
+
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("kernel", "verify", "crosscheck")
-
-
-def _revision(checkout: Path) -> str:
-    out = subprocess.run(
-        ["git", "-C", str(checkout), "describe", "--always", "--dirty"],
-        capture_output=True, text=True,
-    )
-    return out.stdout.strip() or "unknown"
+PASSES = 25
 
 
 def capture(seed: int) -> dict[str, list]:
@@ -79,7 +70,7 @@ def capture(seed: int) -> dict[str, list]:
     return out
 
 
-def worker(src: Path, calls_file: Path, passes: int) -> None:
+def worker(src: Path, calls_file: Path) -> None:
     """Time the captured calls on the bergpoly under src; print one JSON
     line of microseconds per call and an output digest per workload."""
     sys.path.insert(0, str(src))
@@ -95,7 +86,7 @@ def worker(src: Path, calls_file: Path, passes: int) -> None:
     # the workloads take turns within each pass, so a drift of the host's
     # speed during the process falls on all of them alike
     best = dict.fromkeys(calls, float("inf"))
-    for _ in range(passes):
+    for _ in range(PASSES):
         for workload, args in calls.items():
             start = time.perf_counter()
             for a in args:
@@ -106,18 +97,13 @@ def worker(src: Path, calls_file: Path, passes: int) -> None:
     print(json.dumps(report))
 
 
-def _run(checkout: Path, calls_file: Path, passes: int) -> dict:
+def _run(checkout: Path, calls_file: Path) -> dict:
     out = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout / "src"),
-         "--calls", str(calls_file), "--passes", str(passes)],
+         "--calls", str(calls_file)],
         capture_output=True, text=True, check=True,
     )
     return json.loads(out.stdout.strip().splitlines()[-1])
-
-
-def _summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def main(argv=None) -> int:
@@ -125,12 +111,11 @@ def main(argv=None) -> int:
     p.add_argument("--seed", type=int)
     p.add_argument("--parent", type=Path, help="checkout of the parent commit")
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--passes", type=int, default=25)
     p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
     p.add_argument("--calls", type=Path, help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.worker:
-        worker(args.worker, args.calls, args.passes)
+        worker(args.worker, args.calls)
         return 0
     if args.seed is None or args.parent is None:
         p.error("--seed and --parent are required")
@@ -142,32 +127,32 @@ def main(argv=None) -> int:
     sides = {"parent": parent, "change": ROOT}
 
     values = {w: {"parent": [], "change": []} for w in WORKLOADS}
-    first, counts = [], {}
+    counts, digests = {}, {}
     with tempfile.TemporaryDirectory() as tmp:
         calls_file = Path(tmp) / "calls.json"
-        calls = capture(args.seed)
-        calls_file.write_text(json.dumps(calls))
-        digests = None
-        for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            first.append(order[0])
-            for side in order:
-                result = _run(sides[side], calls_file, args.passes)
-                got = {w: result[w]["digest"] for w in WORKLOADS}
-                if digests is not None and got != digests:
-                    raise SystemExit(f"enumerator: {side} returned other items or order")
-                digests = got
-                for w in WORKLOADS:
-                    values[w][side].append(result[w]["us_per_call"])
-                    counts[w] = result[w]["calls"]
+        calls_file.write_text(json.dumps(capture(args.seed)))
+
+        def run(side: str) -> None:
+            result = _run(sides[side], calls_file)
+            got = {w: result[w]["digest"] for w in WORKLOADS}
+            if digests and got != digests:
+                raise SystemExit(f"enumerator: {side} returned other items or order")
+            digests.update(got)
+            for w in WORKLOADS:
+                values[w][side].append(result[w]["us_per_call"])
+                counts[w] = result[w]["calls"]
+
+        def show(pair: int, first: str) -> None:
             row = "  ".join(f"{w} {values[w]['parent'][-1]:.1f}/{values[w]['change'][-1]:.1f}"
                             for w in WORKLOADS)
-            print(f"pair {i + 1} ({order[0]} first, parent/change us per call): {row}", flush=True)
+            print(f"pair {pair} ({first} first, parent/change us per call): {row}", flush=True)
+
+        first = alternate(args.pairs, run, show)
 
     report = {}
     for w in WORKLOADS:
         par, chg = values[w]["parent"], values[w]["change"]
-        ps, cs = _summary(par), _summary(chg)
+        ps, cs = summary(par), summary(chg)
         report[w] = {
             "calls": counts[w],
             "unit": "us per call",
@@ -187,22 +172,12 @@ def main(argv=None) -> int:
             f"  change wins {report[w]['wins']}/{args.pairs}"
         )
 
-    path = ROOT / "benchmarks" / "BENCH_enumerator.json"
-    bench_file = json.loads(path.read_text()) if path.is_file() else {}
-    bench_file.setdefault("seeds", {})[str(args.seed)] = {
-        "pairs": args.pairs,
-        "passes": args.passes,
-        "first": first,
-        "revisions": {side: _revision(checkout) for side, checkout in sides.items()},
-        "machine": {
-            "cpus": os.cpu_count(),
-            "arch": platform.machine(),
-            "python": platform.python_version(),
-        },
-        "workloads": report,
-    }
-    path.write_text(json.dumps(bench_file, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path.relative_to(ROOT)}")
+    record(
+        ROOT / "benchmarks" / "BENCH_enumerator.json",
+        args.seed,
+        sides,
+        {"pairs": args.pairs, "passes": PASSES, "first": first, "workloads": report},
+    )
     return 0
 
 

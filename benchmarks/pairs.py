@@ -34,12 +34,51 @@ ROOT = Path(__file__).resolve().parent.parent
 RUN = Path("perfbench") / "run.py"
 
 
-def _revision(checkout: Path) -> str:
+def revision(checkout: Path) -> str:
     out = subprocess.run(
         ["git", "-C", str(checkout), "describe", "--always", "--dirty"],
         capture_output=True, text=True,
     )
     return out.stdout.strip() or "unknown"
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3}
+
+
+def alternate(pairs: int, run, show) -> list[str]:
+    """Call run(side) for "parent" and "change" once per pair, alternating
+    which goes first (pair 1 parent first, pair 2 change first, ...) so
+    that a drift of the host's speed falls on both sides alike, and then
+    show(pair number, first side).  Returns each pair's first side."""
+    first = []
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            run(side)
+        first.append(order[0])
+        show(i + 1, order[0])
+    return first
+
+
+def record(path: Path, seed: int, sides: dict[str, Path], entry: dict, **top) -> None:
+    """Write entry, with both checkouts' git revisions and the machine,
+    under the seed's key of the JSON file at path, and the top fields at
+    its top; the other seeds' entries are kept."""
+    bench_file = json.loads(path.read_text()) if path.is_file() else {}
+    bench_file.update(top)
+    bench_file.setdefault("seeds", {})[str(seed)] = {
+        **entry,
+        "revisions": {side: revision(checkout) for side, checkout in sides.items()},
+        "machine": {
+            "cpus": os.cpu_count(),
+            "arch": platform.machine(),
+            "python": platform.python_version(),
+        },
+    }
+    path.write_text(json.dumps(bench_file, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {path.relative_to(ROOT)}")
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -55,11 +94,6 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             f"failed={result['failed']}\n{out.stderr}"
         )
     return result
-
-
-def _summary(values: list[float]) -> dict:
-    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": median, "q1": q1, "q3": q3}
 
 
 def main(argv=None) -> int:
@@ -82,19 +116,20 @@ def main(argv=None) -> int:
     values: dict[str, dict[str, list[float]]] = {
         name: {"parent": [], "change": []} for name in metrics
     }
-    first = []
-    for i in range(args.pairs):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        first.append(order[0])
-        for side in order:
-            result = _run(sides[side], args.workload, args.seed, args.seconds)
-            for name in metrics:
-                values[name][side].append(result["metrics"][name]["value"])
+
+    def run(side: str) -> None:
+        result = _run(sides[side], args.workload, args.seed, args.seconds)
+        for name in metrics:
+            values[name][side].append(result["metrics"][name]["value"])
+
+    def show(pair: int, first: str) -> None:
         row = "  ".join(
             f"{name} {values[name]['parent'][-1]:.4g}/{values[name]['change'][-1]:.4g}"
             for name in metrics
         )
-        print(f"pair {i + 1} ({order[0]} first, parent/change): {row}", flush=True)
+        print(f"pair {pair} ({first} first, parent/change): {row}", flush=True)
+
+    first = alternate(args.pairs, run, show)
 
     report = {}
     for name, spec in metrics.items():
@@ -106,8 +141,8 @@ def main(argv=None) -> int:
             "better": spec["better"],
             "parent": par,
             "change": chg,
-            "parent_summary": _summary(par),
-            "change_summary": _summary(chg),
+            "parent_summary": summary(par),
+            "change_summary": summary(chg),
             "wins": wins,
         }
         ps, cs = report[name]["parent_summary"], report[name]["change_summary"]
@@ -117,23 +152,13 @@ def main(argv=None) -> int:
             f"  change wins {wins}/{args.pairs}"
         )
 
-    path = ROOT / "benchmarks" / f"BENCH_{args.workload}.json"
-    bench_file = json.loads(path.read_text()) if path.is_file() else {}
-    bench_file["workload"] = args.workload
-    bench_file.setdefault("seeds", {})[str(args.seed)] = {
-        "seconds": args.seconds,
-        "pairs": args.pairs,
-        "first": first,
-        "revisions": {side: _revision(checkout) for side, checkout in sides.items()},
-        "machine": {
-            "cpus": os.cpu_count(),
-            "arch": platform.machine(),
-            "python": platform.python_version(),
-        },
-        "metrics": report,
-    }
-    path.write_text(json.dumps(bench_file, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {path.relative_to(ROOT)}")
+    record(
+        ROOT / "benchmarks" / f"BENCH_{args.workload}.json",
+        args.seed,
+        sides,
+        {"seconds": args.seconds, "pairs": args.pairs, "first": first, "metrics": report},
+        workload=args.workload,
+    )
     return 0
 
 

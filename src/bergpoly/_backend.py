@@ -23,6 +23,7 @@ from .errors import WindowTooLargeError
 
 _INT64_SAFE = 2**62
 SLAB_POINTS = 2**16
+# numpy's limit on the bytes of one array
 _MAX_BYTES = np.iinfo(np.intp).max
 
 

@@ -56,8 +56,7 @@ class ExponentBox:
 
 def box_ceiling(vm: ValidatedMatrix, j: int) -> int:
     """ceil of (column-j absolute sum of B) / det B, exact integer ceiling."""
-    colsum = sum(abs(r[j]) for r in vm.matrix.rows)
-    return -((-colsum) // vm.det)
+    return exponent_box(vm).ceilings[j]
 
 
 def exponent_box(vm: ValidatedMatrix) -> ExponentBox:
@@ -87,13 +86,9 @@ def numerator_coefficient(vm: ValidatedMatrix, nu: Sequence[int]) -> int:
     return out
 
 
-def numerator_polynomial(
-    vm: ValidatedMatrix, box: ExponentBox | None = None
-) -> LaurentPolynomial:
-    """Sum of c(nu) t^nu over the exponent box (exponents all >= 0); box,
-    when given, must be exponent_box(vm)."""
-    if box is None:
-        box = exponent_box(vm)
+def numerator_polynomial(vm: ValidatedMatrix) -> LaurentPolynomial:
+    """Sum of c(nu) t^nu over the exponent box (exponents all >= 0)."""
+    box = exponent_box(vm)
     if box.is_empty():
         return LaurentPolynomial.zero(vm.n)
     shift = _shift_vector(vm)
@@ -233,7 +228,7 @@ def assemble_kernel(
     """
     vm = m if isinstance(m, ValidatedMatrix) else prepare(m)
     box = exponent_box(vm)
-    numerator = numerator_polynomial(vm, box)
+    numerator = numerator_polynomial(vm)
     if numerator.is_zero():
         raise CanonicityViolationError(
             "empty numerator: a Bergman kernel cannot vanish identically"
