@@ -35,11 +35,17 @@ RUN = Path("perfbench") / "run.py"
 
 
 def revision(checkout: Path) -> str:
-    out = subprocess.run(
-        ["git", "-C", str(checkout), "describe", "--always", "--dirty"],
-        capture_output=True, text=True,
-    )
-    return out.stdout.strip() or "unknown"
+    """The checkout's commit, with "-dirty" when a file other than the
+    benchmarks/BENCH_*.json records these scripts rewrite is modified."""
+    def git(*args: str) -> str:
+        out = subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+        return out.stdout.strip()
+
+    commit = git("describe", "--always")
+    if not commit:
+        return "unknown"
+    dirty = git("status", "--porcelain", "--", ".", ":(exclude,glob)benchmarks/BENCH_*.json")
+    return commit + "-dirty" if dirty else commit
 
 
 def summary(values: list[float]) -> dict:

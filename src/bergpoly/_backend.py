@@ -1,14 +1,20 @@
 """Window fill for the series oracle.
 
 One numpy fill serves every box: y = (m + 1) @ adj is formed column by
-column as a sum of n broadcast 1-D ranges, each factor is clamped to
-max(y_j, 0) (an exponent with some y_j < 1 is inadmissible and gets 0)
-and multiplied into the output in place.  The dtype is int64 when the
-exact a-priori bound on the products is below 2**62, and object (exact
-Python integers) otherwise.  The box is filled in slabs of SLAB_POINTS
-points along the first axis, which bounds the temporaries; with jobs > 1
-the same slabs run on a thread pool of at most min(jobs, slabs, cpus)
-threads.
+column, each factor is clamped to max(y_j, 0) (an exponent with some
+y_j < 1 is inadmissible and gets 0) and multiplied into the output in
+place.  The dtype is int64 when the exact a-priori bound on the products
+is below 2**62, and object (exact Python integers) otherwise.
+
+The output is filled through its 2-D view (rows, inner): a row is one
+value of m_0 and inner = prod(shape[1:]) points of the other axes.  For
+each column j, y_j is the 1-D first-axis column (m_0 + 1) adj_0j plus a
+flat "plane" holding the other axes' terms, so every slab-sized pass is
+one broadcast add over contiguous rows.  The n planes take
+n * prod(shape[1:]) points beside the output.  The box is filled in slabs
+of max(1, SLAB_POINTS // inner) rows, which bounds the temporaries; with
+jobs > 1 the same slabs run on a thread pool of at most
+min(jobs, slabs, cpus) threads.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ def product_bound(adj_rows, lo, hi) -> int:
 def fill_products(adj_rows, lo, hi, jobs: int = 1) -> np.ndarray:
     """Dense C-order array over the box lo..hi of prod_j ((m+1) @ adj)_j,
     with 0 marking inadmissible exponents.  dtype is int64 when the exact
-    bound allows, object otherwise.  Raises WindowTooLargeError when the
+    bound allows, object otherwise.  Beside the output, the column planes
+    hold n * prod(shape[1:]) points.  Raises WindowTooLargeError when the
     array cannot be allocated or has more bytes than any array can hold."""
     lo = tuple(int(x) for x in lo)
     hi = tuple(int(x) for x in hi)
@@ -64,32 +71,29 @@ def fill_products(adj_rows, lo, hi, jobs: int = 1) -> np.ndarray:
         ) from None
 
     n = len(shape)
-    # axes[i][j]: (m_i + 1) * adj[i][j] along axis i, shaped to broadcast
-    axes = [
-        [
-            (np.arange(l + 1, h + 2, dtype=dtype) * int(adj_rows[i][j])).reshape(
-                (-1,) + (1,) * (n - 1 - i)
-            )
-            for j in range(n)
-        ]
-        for i, (l, h) in enumerate(zip(lo, hi))
-    ]
-    rows = max(1, SLAB_POINTS // math.prod(shape[1:]))
+    inner = math.prod(shape[1:])
+    ranges = [np.arange(l + 1, h + 2, dtype=dtype) for l, h in zip(lo, hi)]
+    # y_j on the (rows, inner) view: firsts[j], a column, plus planes[j]
+    firsts, planes = [], []
+    for j in range(n):
+        firsts.append(ranges[0][:, None] * int(adj_rows[0][j]))
+        plane = np.zeros(shape[1:], dtype=dtype)
+        for i in range(1, n):
+            plane += (ranges[i] * int(adj_rows[i][j])).reshape((-1,) + (1,) * (n - 1 - i))
+        planes.append(plane.reshape(-1))
+    grid = out.reshape(shape[0], inner)
+    rows = max(1, SLAB_POINTS // inner)
 
     def fill_slab(a: int) -> None:
         b = a + rows
-        block = out[a:b]
+        block = grid[a:b]
         # column 0 is clamped straight into the slab, every later one into
         # the same temporary: 3n - 1 slab-sized ufuncs
         tmp = np.empty_like(block) if n > 1 else None
         for j in range(n):
             dest = block if j == 0 else tmp
-            y = axes[0][j][a:b]
-            for i in range(1, n - 1):
-                y = y + axes[i][j]  # still broadcast, smaller than the slab
-            if n > 1:
-                y = np.add(y, axes[n - 1][j], out=dest)
-            np.maximum(y, 0, out=dest)
+            np.add(firsts[j][a:b], planes[j], out=dest)
+            np.maximum(dest, 0, out=dest)
             if j:
                 block *= dest
 

@@ -40,6 +40,23 @@ coordinate sits at hi, for any column j with adj_ij > 0.  The series
 vanishes below qlo on the box, so the product with the denominator
 vanishes below qlo + (the denominator's least exponents), and the
 comparison fills and multiplies only the part of the box above that cut.
+
+The passes run on flat memory.  The filled series and one more buffer of
+the same size are C-contiguous, and the passes alternate between them.
+Entry x of a buffer stands for the exponent origin + x.  A pass by a
+factor with least exponents amin moves the origin by amin, so each term
+c t^a of the factor reads the previous buffer at one flat offset, that
+of a - amin, and the pass is one ufunc over flat slices.  Only the box
+vlo..shape - 1 of a buffer is valid, and each pass raises vlo by the
+factor's extent amax - amin.  A valid entry reads, for each term, the
+entry whose coordinates are its own minus a - amin; those lie in the
+previous valid box, so no carry across rows occurs.  The other entries
+the slices cover are margin values: computed, but never read by a valid
+entry.  When the margins would outweigh the valid box (2 * valid points
+< the entries the pass computes), the valid box is first copied into the
+other buffer as a contiguous array, so a hull much larger than the
+compared box does not make every pass pay for its whole size.  The
+compared box is read as a view of the last buffer.
 """
 
 from __future__ import annotations
@@ -164,26 +181,35 @@ class OracleReport:
 def _accumulator_dtype(hull_bound: int, factors) -> type:
     """int64 when every pass provably fits, object otherwise.  |S| <= hull_bound
     on the hull, and a pass by f multiplies the largest |value| by at most
-    sum |c| over the terms of f; each factor is applied twice."""
+    sum |c| over the terms of f; each factor is applied twice.  The bound
+    covers the margin entries of the flat passes too, since each is the
+    same combination sum c * (entry of the previous buffer) as a valid one."""
     growth = math.prod(sum(abs(c) for _, c in terms) for terms in factors) ** 2
     return object if hull_bound * growth >= _backend._INT64_SAFE else np.int64
 
 
-def _multiply(acc: np.ndarray, terms) -> np.ndarray:
-    """acc, dense over some box, times the Laurent polynomial sum c t^a over
-    `terms`: the shifted sum out[e] = sum c * acc[e - a], on the box where
-    every e - a lies in acc's box lo..hi, i.e. lo + max a .. hi + min a."""
-    amin = [min(x) for x in zip(*(a for a, _ in terms))]
-    amax = [max(x) for x in zip(*(a for a, _ in terms))]
-    shape = tuple(s - (h - l) for s, l, h in zip(acc.shape, amin, amax))
-    parts = [
-        (acc[tuple(slice(h - x, h - x + s) for h, x, s in zip(amax, a, shape))], c)
-        for a, c in terms
-    ]
+def _extents(terms):
+    """(amin, amax, rel) of a factor's terms (a, c): its least and greatest
+    exponent per coordinate, and each term as (a - amin, c)."""
+    amin = tuple(map(min, zip(*(a for a, _ in terms))))
+    amax = tuple(map(max, zip(*(a for a, _ in terms))))
+    rel = [(tuple(x - m for x, m in zip(a, amin)), c) for a, c in terms]
+    return amin, amax, rel
+
+
+def _multiply(src: np.ndarray, dst: np.ndarray, begin: int, terms) -> None:
+    """One pass over flat buffers of equal length: dst[k] = sum c * src[k - o]
+    over the terms (o, c) of flat offsets o <= begin, for every k >= begin.
+    A +-1 binomial is one subtraction."""
+    parts = [(src[begin - o : len(src) - o], c) for o, c in terms]
+    out = dst[begin:]
     if len(parts) == 2 and {c for _, c in parts} == {1, -1}:  # one ufunc
         (x, cx), (y, _) = parts
-        return np.subtract(x, y) if cx == 1 else np.subtract(y, x)
-    out = parts[0][0] * parts[0][1]
+        if cx == -1:
+            x, y = y, x
+        np.subtract(x, y, out=out)
+        return
+    np.multiply(parts[0][0], parts[0][1], out=out)
     for part, c in parts[1:]:
         if c == 1:
             out += part
@@ -191,7 +217,53 @@ def _multiply(acc: np.ndarray, terms) -> np.ndarray:
             out -= part
         else:
             out += part * c
-    return out
+
+
+def _passes(hull: np.ndarray, spare: np.ndarray, factors) -> np.ndarray:
+    """hull times every factor (amin, amax, rel) twice, as a view of the
+    product's valid box; hull and spare are C-contiguous buffers of
+    hull.size entries (see the module docstring for the layout).
+
+    A buffer holds dims-shaped data in its first prod(dims) entries, valid
+    on vlo..dims - 1.  A pass writes the other buffer from begin, the flat
+    index of vlo + amax - amin, and its term t^a reads at the flat offset
+    of a - amin.  When 2 * valid points < prod(dims) - begin, the valid box
+    is first copied into the other buffer as a dims - vlo array."""
+    bufs = [hull.reshape(-1), spare]
+    dims, vlo = list(hull.shape), [0] * hull.ndim
+
+    def valid_box() -> np.ndarray:
+        box = bufs[0][: math.prod(dims)].reshape(dims)
+        return box[tuple(slice(v, None) for v in vlo)]
+
+    for amin, amax, rel in factors:
+        for _ in range(2):
+            nlo = [v + h - l for v, l, h in zip(vlo, amin, amax)]
+            valid = math.prod(d - v for d, v in zip(dims, nlo))
+            if 2 * valid < math.prod(dims) - _flat(nlo, dims):
+                box = valid_box()
+                dims = list(box.shape)
+                bufs[1][: box.size].reshape(dims)[...] = box
+                bufs.reverse()
+                nlo = [h - l for l, h in zip(amin, amax)]
+            size = math.prod(dims)
+            _multiply(
+                bufs[0][:size],
+                bufs[1][:size],
+                _flat(nlo, dims),
+                [(_flat(a, dims), c) for a, c in rel],
+            )
+            bufs.reverse()
+            vlo = nlo
+    return valid_box()
+
+
+def _flat(x, dims) -> int:
+    """Flat C-order index of the multi-index x in an array of shape dims."""
+    k = 0
+    for xi, d in zip(x, dims):
+        k = k * d + xi
+    return k
 
 
 def _admissible_floor(adj_rows, lo, hi) -> tuple[int, ...]:
@@ -235,15 +307,25 @@ def compare_with_closed_form(
     m >= qlo (`_admissible_floor`), and the product vanishes wherever some
     e_i < qlo_i + dmin_i.  Only the part of the compared box at or above
     elo = max(lo, qlo + dmin) is computed: the series is filled on
-    elo - dmax .. the hull's upper corner, each factor multiplies it
-    twice, one shifted sum per pass, and after the 2n passes the array
-    covers exactly elo..hi.  Numerator terms below the cut are compared
-    with 0.  The report's safe box is the whole compared box, and
-    `checked` counts its points; no window is too small.
+    elo - dmax .. the hull's upper corner, and each factor multiplies it
+    twice, one flat pass each (`_passes`).  The passes alternate between
+    the fill's array and one more buffer of its size, C-contiguous both;
+    each moves the origin by the factor's least exponents and shrinks the
+    valid box from below by its extent, so after them the valid box is
+    exactly elo..hi, read as a view.  The entries outside the valid box
+    are margins that no valid entry reads, and when they would outweigh
+    the valid box (2 * valid points < the entries a pass computes), the
+    valid box is first copied into the other buffer.  Numerator terms
+    below the cut are compared with 0.  The report's safe box is the whole
+    compared box, and `checked` counts its points; no window is too small.
 
     The accumulator is int64 when product_bound(filled box) *
     prod_f (sum |c_f|)^2 < 2**62 (4**n for +-1 binomials), exact Python
-    integers otherwise.
+    integers otherwise.  The bound covers the margins too: each margin
+    entry is the same combination of entries of the previous buffer as a
+    valid entry.  On the object path, a pass reads only entries an earlier
+    pass or the fill has written.  When the second buffer cannot be
+    allocated, WindowTooLargeError names the comparison grid.
     """
     if form is None:
         form = assemble_kernel(vm)
@@ -251,9 +333,9 @@ def compare_with_closed_form(
     det_adj = vm.det ** (n - 1)
     ratio = det_adj * Fraction(form.prefactor)
     p, q = ratio.numerator, ratio.denominator
-    factors = [[(e, int(c)) for e, c in f.items()] for f in form.factors]
-    dmin = [2 * sum(x) for x in zip(*(f.min_exponents() for f in form.factors))]
-    dmax = [2 * sum(x) for x in zip(*(f.max_exponents() for f in form.factors))]
+    factors = [_extents([(e, int(c)) for e, c in f.items()]) for f in form.factors]
+    dmin = [2 * sum(x) for x in zip(*(amin for amin, _, _ in factors))]
+    dmax = [2 * sum(x) for x in zip(*(amax for _, amax, _ in factors))]
     num = form.numerator
     lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
     hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
@@ -266,9 +348,11 @@ def compare_with_closed_form(
     elo = tuple(min(max(l, a + d), h + 1) for l, a, d, h in zip(lo, qlo, dmin, hi))
     fill_lo = tuple(e - d for e, d in zip(elo, dmax))
     shape = tuple(h - e + 1 for e, h in zip(elo, hi))
+    points = math.prod(shape)
     acc = _backend.fill_products(adj_rows, fill_lo, hull_hi, jobs=jobs)
     dtype = _accumulator_dtype(
-        _backend.product_bound(adj_rows, fill_lo, hull_hi), factors
+        _backend.product_bound(adj_rows, fill_lo, hull_hi),
+        [rel for _, _, rel in factors],
     )
     terms, below = [], []
     for e, c in num.items():
@@ -278,14 +362,14 @@ def compare_with_closed_form(
     )
     try:
         acc = acc.astype(dtype, copy=False)
-        for f in factors:
-            acc = _multiply(acc, f)
-            acc = _multiply(acc, f)
+        if points:
+            acc = _passes(acc, np.empty(acc.size, dtype=dtype), factors)
+        else:
+            acc = np.zeros(shape, dtype=dtype)
         got = acc[idx]
         acc[idx] = 0  # what is left must vanish: the numerator has no term there
         extra = np.flatnonzero(acc)
     except MemoryError:
-        points = math.prod(shape)
         raise WindowTooLargeError(
             f"the oracle comparison grid {elo}..{hi} has {points} points; "
             f"multiplying the hull by the denominator needs at least "
@@ -296,10 +380,9 @@ def compare_with_closed_form(
     # p and q scale Python integers only, so the accumulator's bound holds
     wrong = {e: (c, g) for (e, c), g in zip(terms, got.tolist()) if q * g != p * c}
     wrong.update((e, (c, 0)) for e, c in below if p * c)  # the product is 0 there
-    flat = acc.reshape(-1)
     for i in extra:
         offs = np.unravel_index(int(i), shape)
-        wrong[tuple(l + int(o) for l, o in zip(elo, offs))] = (0, int(flat[i]))
+        wrong[tuple(l + int(o) for l, o in zip(elo, offs))] = (0, int(acc[offs]))
     mismatches = tuple(
         (e, Fraction(p * c, q * det_adj), Fraction(g, det_adj))
         for e, (c, g) in sorted(wrong.items())

@@ -52,6 +52,18 @@ def test_several_slabs_match_reference():
         assert_matches_reference(adj, lo, hi, jobs)
 
 
+def test_planes_larger_than_a_slab_match_reference():
+    # 257^2 points behind each first-axis value: one-row slabs, and every
+    # column plane holds more points than a slab
+    adj, lo, hi = [[2, 1, 0], [1, 1, 1], [0, 0, 3]], (-1, -128, -128), (0, 128, 128)
+    assert 257**2 > _backend.SLAB_POINTS
+    ref = reference_fill(adj, lo, hi)
+    for jobs in (1, 2):
+        out = _backend.fill_products(adj, lo, hi, jobs=jobs)
+        assert out.dtype == np.int64 and out.shape == ref.shape == (2, 257, 257)
+        assert np.array_equal(out, ref)
+
+
 def test_int64_bound_edge():
     below = _backend.fill_products([[2**62 - 1]], (0,), (0,))
     assert below.dtype == np.int64

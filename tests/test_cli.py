@@ -252,11 +252,13 @@ class TestVerify:
     def test_oversized_window_is_input_error(self):
         # Under a 3 GB address space limit, the 5x5 hull at radius 40 (about
         # 40 GB) cannot be allocated; at radius 19 the hull (1.5 GB) is
-        # filled but the first pass over it (1.4 GB more) cannot be.
-        # Either must end in one typed line.
+        # filled but the comparison's second hull-sized buffer cannot be.
+        # Either must end in one typed line.  One OpenBLAS thread keeps the
+        # address space its thread pool takes out of the result.
         matrix = "2 -1 0 0 0 / 0 2 -1 0 0 / 0 0 2 -1 0 / 0 0 0 2 -1 / -1 0 0 0 2"
         for window, stage in (("40", "the oracle hull"), ("19", "the oracle comparison grid")):
-            proc = run_limited(3 * 10**9, "verify", "--matrix", matrix, "--window", window)
+            proc = run_limited(3 * 10**9, "verify", "--matrix", matrix, "--window", window,
+                               OPENBLAS_NUM_THREADS="1")
             assert proc.returncode == 1
             assert proc.stdout == ""
             lines = proc.stderr.splitlines()

@@ -232,8 +232,17 @@ class TestCompare:
         adj = [list(r) for r in worked_vm.adj.rows]
         hull = _backend.fill_products(adj, (-4, -3), (9, 8))
         terms = [((0, 1), 1), ((2, 0), -1), ((1, 1), 3)]
-        small = oracle._multiply(hull.astype(np.int64), terms)
-        big = oracle._multiply(hull.astype(object), terms)
+        # flat offsets in the (14, 12) hull, relative to the least exponents
+        # (0, 0); the pass computes every entry from the flat index of the
+        # greatest ones, (2, 1)
+        flat = [(12 * a + b, c) for (a, b), c in terms]
+        small, big = (np.empty(hull.size, dtype) for dtype in (np.int64, object))
+        oracle._multiply(hull.reshape(-1).astype(np.int64), small, 25, flat)
+        oracle._multiply(hull.reshape(-1).astype(object), big, 25, flat)
+        # the valid box: the hull's lower corner plus (2, 1) up to its upper
+        # corner, i.e. the exponents (-2, -2)..(9, 8)
+        small = small.reshape(14, 12)[2:, 1:]
+        big = big.reshape(14, 12)[2:, 1:]
         assert small.dtype == np.int64 and big.dtype == object
         assert small.shape == big.shape == (12, 11)
         assert all(int(a) == b for a, b in zip(small.reshape(-1), big.reshape(-1)))
@@ -249,7 +258,11 @@ class TestCompare:
         adj = [list(r) for r in worked_vm.adj.rows]
         hull = _backend.fill_products(adj, (-4, -3), (9, 8)).astype(dtype)
         for terms in ([((0, 1), 1), ((2, 0), -1)], [((0, 1), -1), ((2, 0), 1)]):
-            got = oracle._multiply(hull, terms)
+            out = np.empty(hull.size, dtype)
+            oracle._multiply(
+                hull.reshape(-1), out, 25, [(12 * a + b, c) for (a, b), c in terms]
+            )
+            got = out.reshape(14, 12)[2:, 1:]
             want = sum(hull[2 - a:14 - a, 1 - b:12 - b] * c for (a, b), c in terms)
             assert got.dtype == hull.dtype and got.shape == (12, 11)
             assert np.array_equal(got, want)
@@ -289,16 +302,29 @@ def _cut(vm, form, window):
     return lo, tuple(min(max(l, a + d), h + 1) for l, a, d, h in zip(lo, qlo, dmin, hi))
 
 
+def _hull_points(form, window) -> int:
+    """Points of the uncut reference's hull: the compared box widened by the
+    squared denominator's exponent extents."""
+    num = form.numerator
+    lo = [min(w, e) for w, e in zip(window.lower, num.min_exponents())]
+    hi = [max(w, e) for w, e in zip(window.upper, num.max_exponents())]
+    for f in form.factors:
+        hi = [h + 2 * (b - a) for h, a, b in zip(hi, f.min_exponents(), f.max_exponents())]
+    return math.prod(h - l + 1 for l, h in zip(lo, hi))
+
+
 @st.composite
-def cut_cases(draw, family_2x2, family_3x3):
-    """A valid 2x2 or 3x3 matrix, a window (often away from the origin), a
-    form with a non-default prefactor or a corrupted numerator term above
-    the cut, inside the cut strip or below the compared box, and whether to
-    force the object accumulator."""
-    vm = draw(st.sampled_from(draw(st.sampled_from((family_2x2, family_3x3)))))
+def cut_cases(draw, pools):
+    """A valid matrix from one of the pools, a window (often away from the
+    origin for n <= 3, within -1..1 beyond), a form with a non-default
+    prefactor or a corrupted numerator term above the cut, inside the cut
+    strip or below the compared box, and whether to force the object
+    accumulator."""
+    vm = draw(st.sampled_from(draw(st.sampled_from(pools))))
     n = vm.n
-    lower = draw(st.lists(st.integers(-8, 8), min_size=n, max_size=n))
-    width = draw(st.lists(st.integers(0, 5 if n == 2 else 3), min_size=n, max_size=n))
+    low, high, span = {2: (-8, 8, 5), 3: (-8, 8, 3)}.get(n, (-1, 0, 1))
+    lower = draw(st.lists(st.integers(low, high), min_size=n, max_size=n))
+    width = draw(st.lists(st.integers(0, span), min_size=n, max_size=n))
     window = Window.of(lower, [l + w for l, w in zip(lower, width)])
     form = assemble_kernel(vm)
     scale = Fraction(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
@@ -324,20 +350,72 @@ def cut_cases(draw, family_2x2, family_3x3):
     return vm, window, form, draw(st.booleans())
 
 
+@pytest.fixture(scope="module")
+def wide_pools():
+    """Valid 4x4, 5x5 and 6x6 matrices whose uncut reference hull stays
+    small at every window cut_cases draws for them (within -1..1)."""
+    return tuple(
+        [
+            vm
+            for vm in families.valid_family(n, 24)
+            if _hull_points(assemble_kernel(vm), Window.cube(n, 1)) <= 300_000
+        ]
+        for n in (4, 5, 6)
+    )
+
+
+def _assert_equals_uncut(vm, window, form, force_object):
+    want = compare_uncut(vm, window, form=form)
+    if force_object:
+        with mock.patch.object(oracle, "_accumulator_dtype", lambda *_: object):
+            got = compare_with_closed_form(vm, window, form=form)
+    else:
+        got = compare_with_closed_form(vm, window, form=form)
+    assert got == want
+
+
 class TestAdmissibleCut:
     """The cut comparison against the uncut reference in tests/_reference."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_report_equals_uncut_reference(self, data, family_2x2, family_3x3):
-        vm, window, form, force_object = data.draw(cut_cases(family_2x2, family_3x3))
+        _assert_equals_uncut(*data.draw(cut_cases((family_2x2, family_3x3))))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_flat_passes_equal_uncut_reference_up_to_n6(
+        self, data, family_2x2, family_3x3, wide_pools
+    ):
+        assert all(wide_pools)
+        _assert_equals_uncut(*data.draw(cut_cases((family_2x2, family_3x3, *wide_pools))))
+
+    def test_copy_out_of_the_valid_box(self):
+        # the 6x6 cyclic (2, -1) at radius 0: the hull has 11^6 points for a
+        # compared box of 5^6, so the margins outgrow the valid box and later
+        # passes run on a copy of it; a corrupted term must still be found
+        rows = tuple(
+            tuple(2 if j == i else -1 if j == (i + 1) % 6 else 0 for j in range(6))
+            for i in range(6)
+        )
+        vm = prepare(IntMatrix(rows))
+        form = _with_term(assemble_kernel(vm), (2, 3, 1, 4, 0, 2), 7)
+        window = Window.cube(6, 0)
+        lengths = []
+        multiply = oracle._multiply
+
+        def recording(src, dst, begin, terms):
+            lengths.append(len(src))
+            return multiply(src, dst, begin, terms)
+
         want = compare_uncut(vm, window, form=form)
-        if force_object:
-            with mock.patch.object(oracle, "_accumulator_dtype", lambda *_: object):
-                got = compare_with_closed_form(vm, window, form=form)
-        else:
+        with mock.patch.object(oracle, "_multiply", recording):
             got = compare_with_closed_form(vm, window, form=form)
+            with mock.patch.object(oracle, "_accumulator_dtype", lambda *_: object):
+                assert compare_with_closed_form(vm, window, form=form) == want
         assert got == want
+        assert [e for e, _, _ in got.mismatches] == [(2, 3, 1, 4, 0, 2)]
+        assert lengths[0] == 11**6 and min(lengths) < lengths[0]
 
     def test_cut_on_every_coordinate(self, worked_vm):
         # the floor rises above the hull's lower corner on both axes, the
