@@ -266,8 +266,7 @@ class LaurentPolynomial:
         return {
             "n": self.n,
             "terms": [
-                {"exp": [*e], "num": str(c), "den": "1"} if type(c) is int else
-                {"exp": list(e), "num": str(c.numerator), "den": str(c.denominator)}
+                {"exp": [*e], "num": str(c.numerator), "den": str(c.denominator)}
                 for e, c in self.sorted_terms()
             ],
         }

@@ -2,18 +2,19 @@
 
 JSON output is deterministic byte-for-byte: keys sorted, two-space
 indent, rationals as decimal strings, polynomial terms in lexicographic
-exponent order.  It is exactly what json.dumps(obj, sort_keys=True,
-indent=2) prints, plus a newline, but written by a small recursive
-writer: with an indent, CPython's json falls back to its pure-Python
-encoder, about four times slower on the polynomial term lists that make
-up most of the output.  The writer formats the shapes the payloads are
-made of (str-keyed dicts, plain ints, lists of ints, lists of polynomial
-term dicts) itself and hands every other value to json, so the two
-cannot disagree on a value it does not know.  A polynomial term list is
-checked as a whole list, and then every term is written with one `%`
-template built for the list's indent and exponent length; the term's
-den and num strings are escaped by json's own encoder and only then
-substituted, so their text never reaches the template.
+exponent order.  dumps(obj) is exactly json.dumps(obj, sort_keys=True,
+indent=2, default=d) plus a newline, where d maps a LaurentPolynomial to
+its to_json_dict() and raises TypeError for anything else, but it is
+written by a small recursive writer: with an indent, CPython's json
+falls back to its pure-Python encoder, about four times slower on the
+polynomial term lists that make up most of the output.  The writer
+formats the shapes the payloads are made of (str-keyed dicts, plain
+ints, lists of ints, LaurentPolynomial values) itself and hands every
+other value to json, with the same default, so the two cannot disagree
+on a value it does not know.  A polynomial is written straight from its
+sorted terms, each with one `%` template built for its indent and
+variable count; only ints are substituted, and a decimal integer needs
+no JSON escaping.
 """
 
 from __future__ import annotations
@@ -21,30 +22,35 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
-from operator import itemgetter
 
 from .kernel import BergmanKernelForm, exponent_box
 from .laurent import LaurentPolynomial
 from .oracle import OracleReport
 
 _INT = {int}
-_DEN, _EXP, _NUM = map(itemgetter, ("den", "exp", "num"))
 
 
 def dumps(obj) -> str:
-    """json.dumps(obj, sort_keys=True, indent=2) + "\n", byte for byte.
+    """json.dumps(obj, sort_keys=True, indent=2, default=d) + "\n", byte
+    for byte, where d maps a LaurentPolynomial to its to_json_dict() and
+    raises TypeError for anything else.
 
     Dicts whose keys are all str are written in sorted key order, plain
     ints (not bools) with int.__repr__, lists of plain ints with one
-    join, and a list of polynomial terms ({"den": str, "exp": [int, ...],
-    "num": str}, every exp of one length) with one template.  Scalars,
-    empty containers, dicts with other keys and anything else go to
-    json.dumps itself, re-indented to their depth; json escapes every
-    newline inside a string, so each newline it writes is an indent."""
+    join, and a LaurentPolynomial from its terms.  Scalars, empty
+    containers, dicts with other keys and anything else go to json.dumps
+    itself, re-indented to their depth; json escapes every newline inside
+    a string, so each newline it writes is an indent."""
     out: list[str] = []
     _write(obj, "\n", out)
     out.append("\n")
     return "".join(out)
+
+
+def _default(obj):
+    if isinstance(obj, LaurentPolynomial):
+        return obj.to_json_dict()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write(obj, nl: str, out: list[str]) -> None:
@@ -54,6 +60,8 @@ def _write(obj, nl: str, out: list[str]) -> None:
         out.append(_str(obj))
     elif t is int:
         out.append(int.__repr__(obj))
+    elif t is LaurentPolynomial:
+        out.append(_poly(obj, nl))
     elif t is dict and obj and all(type(k) is str for k in obj):
         inner = nl + "  "
         sep = "{" + inner
@@ -66,8 +74,6 @@ def _write(obj, nl: str, out: list[str]) -> None:
         inner = nl + "  "
         if _all_ints(obj):
             out.append(_ints(obj, nl))
-        elif (terms := _terms(obj, inner)) is not None:
-            out.append(f"[{inner}{terms}{nl}]")
         else:
             sep = "[" + inner
             for item in obj:
@@ -76,7 +82,7 @@ def _write(obj, nl: str, out: list[str]) -> None:
                 sep = "," + inner
             out.append(nl + "]")
     else:
-        out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
+        out.append(json.dumps(obj, sort_keys=True, indent=2, default=_default).replace("\n", nl))
 
 
 def _all_ints(xs) -> bool:
@@ -90,40 +96,27 @@ def _ints(xs: list[int], nl: str) -> str:
     return f"[{inner}{(',' + inner).join(map(str, xs))}{nl}]"
 
 
-def _terms(xs: list, nl: str) -> str | None:
-    """The items of a polynomial term list, each at indent nl and joined,
-    or None when xs is not one.  Every item must be a dict with exactly
-    the keys den, exp and num, den and num str, exp a list of plain ints,
-    and every exp of the same length; each check runs over the whole
-    list at once."""
-    if {*map(type, xs)} != {dict} or {*map(len, xs)} != {3}:
-        return None
-    try:
-        dens, exps, nums = [*map(_DEN, xs)], [*map(_EXP, xs)], [*map(_NUM, xs)]
-    except KeyError:
-        return None
-    if (
-        {*map(type, dens), *map(type, nums)} != {str}
-        or {*map(type, exps)} != {list}
-        or len({*map(len, exps)}) != 1
-    ):
-        return None
-    columns = [*zip(*exps)]
-    if not all(map(_all_ints, columns)):
-        return None
+def _poly(p: LaurentPolynomial, nl: str) -> str:
+    """p.to_json_dict() as json writes it at indent nl.  Every term is
+    one template filled with (den, *exp, num), all ints: a coefficient
+    is an int or a Fraction, and both carry numerator and denominator."""
     key = nl + "  "
-    if columns:
-        entry = key + "  "
-        exp = f"[{entry}{(',' + entry).join(['%d'] * len(columns))}{key}]"
-    else:
-        exp = "[]"
-    template = f'{{{key}"den": %s,{key}"exp": {exp},{key}"num": %s{nl}}}'
-    return ("," + nl).join(
-        map(template.__mod__, zip(map(_str, dens), *columns, map(_str, nums)))
-    )
+    terms = p.sorted_terms()
+    if not terms:
+        return f'{{{key}"n": {p.n},{key}"terms": []{nl}}}'
+    item = key + "  "
+    field = item + "  "
+    entry = field + "  "
+    exp = f"[{entry}{(',' + entry).join(['%d'] * p.n)}{field}]" if p.n else "[]"
+    template = f'{{{field}"den": "%d",{field}"exp": {exp},{field}"num": "%d"{item}}}'
+    body = ("," + item).join([template % (c.denominator, *e, c.numerator) for e, c in terms])
+    return f'{{{key}"n": {p.n},{key}"terms": [{item}{body}{key}]{nl}}}'
 
 
 def form_to_json_dict(form: BergmanKernelForm) -> dict:
+    """The kernel form's JSON payload for dumps.  Its numerator and
+    denominator factors are LaurentPolynomial values, which dumps writes
+    as their to_json_dict(); json.dumps needs default= for them."""
     box = form.box if form.box is not None else exponent_box(form.source)
     return {
         "n": form.n,
@@ -133,8 +126,8 @@ def form_to_json_dict(form: BergmanKernelForm) -> dict:
             "den": str(form.prefactor.denominator),
         },
         "piExponent": form.pi_exponent,
-        "numerator": form.numerator.to_json_dict(),
-        "denominatorFactors": [f.to_json_dict() for f in form.factors],
+        "numerator": form.numerator,
+        "denominatorFactors": list(form.factors),
         "nuBox": {
             "lower": list(box.lower),
             "upper": list(box.upper),

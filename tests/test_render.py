@@ -12,10 +12,17 @@ from bergpoly.int_linalg import matrix_to_json
 from bergpoly.oracle import OracleReport, Window
 
 
+def polynomial_payload(obj):
+    """The default= hook of the dumps contract."""
+    if isinstance(obj, LaurentPolynomial):
+        return obj.to_json_dict()
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def reference(obj):
     """json's own output, or the type of the exception it raises."""
     try:
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        return json.dumps(obj, sort_keys=True, indent=2, default=polynomial_payload) + "\n"
     except (TypeError, ValueError) as exc:
         return type(exc)
 
@@ -38,12 +45,25 @@ near_terms = st.one_of(
     terms.map(lambda t: {**t, "exp": t["exp"] + [True]}),
     terms.map(lambda t: {k: v for k, v in t.items() if k != "num"}),
 )
+poly_exps = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+coefficients = st.one_of(
+    st.integers(-10, 10),
+    st.integers(-(2**80), 2**80),
+    st.fractions(max_denominator=50),
+    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
+)
+polynomials = st.integers(0, 6).flatmap(
+    lambda n: st.dictionaries(st.tuples(*[poly_exps] * n), coefficients, max_size=6).map(
+        lambda t: LaurentPolynomial(n, t)
+    )
+)
 scalars = st.one_of(
     st.none(),
     st.booleans(),
     big_ints,
     st.floats(allow_nan=True, allow_infinity=True),
     st.text(),
+    polynomials,
 )
 json_values = st.recursive(
     scalars | st.lists(terms, max_size=3) | st.lists(st.one_of(big_ints, st.booleans())),
@@ -71,7 +91,16 @@ def test_term_lists_and_near_terms(good, bad):
     assert render.dumps({"terms": mixed, "n": 2}) == reference({"terms": mixed, "n": 2})
 
 
-# strings that would change a % template if they reached it unescaped
+@settings(max_examples=300, deadline=None)
+@given(polynomials, polynomials)
+def test_polynomials_match_json(p, q):
+    # top level, a dict value, inside a list, and under an int-keyed dict,
+    # which json itself writes through the default= hook
+    for obj in (p, {"numerator": p, "n": p.n}, [p, q, 3], [[q]], {1: p, 0: [q, {"f": p}]}):
+        assert render.dumps(obj) == reference(obj)
+
+
+# strings that would change a % template if they reached one unescaped
 awkward = st.one_of(
     st.sampled_from(["%", "%s", "%d", "%%", "%(den)s", '"', "\\", '\\"', "é", "☃\n", "%s\u2028"]),
     st.text(max_size=6),
@@ -79,7 +108,7 @@ awkward = st.one_of(
 
 
 def uniform_terms(text):
-    """Term lists whose exps all have one length: the template path."""
+    """Term lists whose exps all have one length, as a polynomial's are."""
     return st.integers(0, 4).flatmap(
         lambda k: st.lists(
             st.fixed_dictionaries({
@@ -96,13 +125,12 @@ def uniform_terms(text):
 @settings(max_examples=300, deadline=None)
 @given(uniform_terms(awkward))
 def test_term_strings_never_reach_the_template(xs):
-    assert render._terms(xs, "\n    ") is not None
     for obj in (xs, {"numerator": {"n": 2, "terms": xs}}):
         assert render.dumps(obj) == reference(obj)
 
 
 @pytest.mark.parametrize(
-    "xs, templated",
+    "xs, uniform",
     [
         ([{"den": "1", "exp": [], "num": "2"}, {"den": "%s", "exp": [], "num": "%d"}], True),
         ([{"den": "1", "exp": [1], "num": "2"}, {"den": "1", "exp": [1, 2], "num": "3"}], False),
@@ -116,11 +144,11 @@ def test_term_strings_never_reach_the_template(xs):
         ([{"den": "1", "exp": [1.0], "num": "2"}], False),
     ],
 )
-def test_term_list_shapes(xs, templated):
-    # equal-length exps of plain ints take the template; anything else
-    # (mixed lengths, a bool, a non-term, a wrong key or type) the
-    # per-item path, and both print what json prints
-    assert (render._terms(xs, "\n  ") is not None) == templated
+def test_term_list_shapes(xs, uniform):
+    # uniform marks the lists shaped like a polynomial's terms (equal-length
+    # exps of plain ints); the others have mixed lengths, a bool, a non-term,
+    # or a wrong key or type.  Plain lists of term dicts of either kind go
+    # through the per-item path and print what json prints
     for obj in (xs, {"terms": xs}, [xs, xs]):
         assert render.dumps(obj) == reference(obj)
 
