@@ -10,7 +10,6 @@ from .errors import (
     BergpolyError,
     CanonicityViolationError,
     DimensionMismatchError,
-    DivisionByZeroPolynomialError,
     EvaluationAtSingularityError,
     GcdViolationError,
     InputError,
@@ -28,7 +27,6 @@ from .errors import (
 from .int_linalg import (
     IntMatrix,
     NormalizedMatrix,
-    SignSplit,
     ValidatedMatrix,
     adjugate,
     determinant,
@@ -36,18 +34,15 @@ from .int_linalg import (
     parse_matrix,
     prepare,
     row_gcd,
-    sign_split,
 )
 from .kernel import (
     BergmanKernelForm,
     ExponentBox,
     assemble_kernel,
-    box_ceiling,
     canonicity_check,
     denominator_factors,
     eval_kernel,
     exponent_box,
-    irreducibility_precondition,
     numerator_coefficient,
     numerator_polynomial,
     same_kernel,

@@ -57,10 +57,6 @@ class DimensionMismatchError(BergpolyError):
     """Operands live in polynomial rings with different variable counts."""
 
 
-class DivisionByZeroPolynomialError(BergpolyError):
-    """Exact division by the zero polynomial."""
-
-
 class PoleAtZeroError(BergpolyError):
     """Negative exponent evaluated at a zero coordinate."""
 

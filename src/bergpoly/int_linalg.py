@@ -4,9 +4,8 @@ A bounded monomial polyhedron in C^n is cut out by n Laurent-monomial
 inequalities |z^(b^j)| < 1 whose exponents form the rows of an integer
 matrix B.  This module owns everything matrix-shaped: determinants and
 adjugates in exact arbitrary-precision arithmetic, the normalization that
-makes det B > 0 with coprime rows, the sign split B = B_+ - B_-, and the
-validation rule (adj B >= 0 elementwise) deciding whether B defines a
-bounded domain at all.
+makes det B > 0 with coprime rows, and the validation rule (adj B >= 0
+elementwise) deciding whether B defines a bounded domain at all.
 
 One fraction-free Gauss-Jordan elimination gives both det and adj of a
 matrix; `normalize` runs it once and carries adj B along, and `prepare`
@@ -83,9 +82,6 @@ class IntMatrix:
 
     def row(self, j: int) -> tuple[int, ...]:
         return self.rows[j]
-
-    def col(self, k: int) -> tuple[int, ...]:
-        return tuple(r[k] for r in self.rows)
 
     def column_abs_sums(self) -> tuple[int, ...]:
         """(1|B|)_k for each column k, with |B| the entrywise absolute value."""
@@ -185,20 +181,6 @@ def row_gcd(v: Sequence[int]) -> int:
     if g == 0:
         raise AllZeroRowError("gcd of an all-zero row is undefined")
     return g
-
-
-@dataclass(frozen=True)
-class SignSplit:
-    """Elementwise split M = plus - minus with disjoint supports, both >= 0."""
-
-    plus: IntMatrix
-    minus: IntMatrix
-
-
-def sign_split(m: IntMatrix) -> SignSplit:
-    plus = IntMatrix._from_rows(tuple(tuple(max(x, 0) for x in r) for r in m.rows))
-    minus = IntMatrix._from_rows(tuple(tuple(max(-x, 0) for x in r) for r in m.rows))
-    return SignSplit(plus, minus)
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import CanonicityViolationError, EvaluationAtSingularityError
-from .int_linalg import (
-    IntMatrix,
-    NormalizedMatrix,
-    ValidatedMatrix,
-    prepare,
-    row_gcd,
-)
+from .int_linalg import IntMatrix, NormalizedMatrix, ValidatedMatrix, prepare
 from .laurent import LaurentPolynomial
 from .tent import tent, tent_product_over_box
 
@@ -52,11 +46,6 @@ class ExponentBox:
         for l, u in zip(self.lower, self.upper):
             v *= max(u - l + 1, 0)
         return v
-
-
-def box_ceiling(vm: ValidatedMatrix, j: int) -> int:
-    """ceil of (column-j absolute sum of B) / det B, exact integer ceiling."""
-    return exponent_box(vm).ceilings[j]
 
 
 def exponent_box(vm: ValidatedMatrix) -> ExponentBox:
@@ -109,13 +98,6 @@ def denominator_factors(vm: ValidatedMatrix) -> list[LaurentPolynomial]:
         )
         for row in vm.matrix.rows
     ]
-
-
-def irreducibility_precondition(vm: ValidatedMatrix, j: int) -> bool:
-    """gcd over the combined exponents of factor j, i.e. gcd |b^j| = 1;
-    the hypothesis under which each denominator binomial is irreducible.
-    Always holds after normalization."""
-    return row_gcd(vm.matrix.row(j)) == 1
 
 
 @dataclass(frozen=True)

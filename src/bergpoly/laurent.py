@@ -14,7 +14,7 @@ this is the canonicity check.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, PoleAtZeroError
 
@@ -165,29 +165,6 @@ class LaurentPolynomial:
             self.n, {e: _coerce(c * factor) for e, c in self._terms.items()}
         )
 
-    def shifted(self, offset: Sequence[int]) -> "LaurentPolynomial":
-        """Multiply by the monomial t^offset."""
-        off = tuple(int(x) for x in offset)
-        if len(off) != self.n:
-            raise DimensionMismatchError(
-                f"offset {off} has length {len(off)}, expected {self.n}"
-            )
-        return LaurentPolynomial._from_clean(
-            self.n, {tuple(a + b for a, b in zip(e, off)): c for e, c in self._terms.items()}
-        )
-
-    def __pow__(self, k: int) -> "LaurentPolynomial":
-        if k < 0:
-            raise ValueError("negative powers are not defined for polynomials")
-        out = LaurentPolynomial.one(self.n)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LaurentPolynomial)
@@ -271,14 +248,6 @@ class LaurentPolynomial:
             ],
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "LaurentPolynomial":
-        terms = {
-            tuple(t["exp"]): Fraction(int(t["num"]), int(t["den"]))
-            for t in data["terms"]
-        }
-        return cls(int(data["n"]), terms)
-
     def to_latex(self, var: str = "t") -> str:
         """Render with variables var_1 .. var_n, terms in canonical order."""
         if not self._terms:
@@ -311,10 +280,3 @@ class LaurentPolynomial:
             return "LaurentPolynomial(0)"
         parts = [f"{c}*t^{e}" for e, c in self.sorted_terms()]
         return "LaurentPolynomial(" + " + ".join(parts) + ")"
-
-
-def product(polys: Iterable[LaurentPolynomial], n: int) -> LaurentPolynomial:
-    out = LaurentPolynomial.one(n)
-    for p in polys:
-        out = out * p
-    return out

@@ -129,14 +129,11 @@ class OracleSeries:
         self.det_adj = vm.det ** (vm.n - 1)
         self._scaled = scaled
 
-    def scaled_coefficient(self, m: Sequence[int]) -> int:
-        idx = tuple(int(x) - l for x, l in zip(m, self.window.lower))
-        return int(self._scaled[idx])
-
     def coefficient(self, m: Sequence[int]) -> Fraction:
         if not self.window.contains(m):
             raise KeyError(f"{tuple(m)} outside the window")
-        return Fraction(self.scaled_coefficient(m), self.det_adj)
+        idx = tuple(int(x) - l for x, l in zip(m, self.window.lower))
+        return Fraction(int(self._scaled[idx]), self.det_adj)
 
     def items(self):
         """(exponent, coefficient) for every admissible exponent, lex order."""

@@ -30,7 +30,7 @@ from .errors import (
     NotUnimodularError,
     WrongDimensionError,
 )
-from .int_linalg import IntMatrix, ValidatedMatrix, prepare, sign_split
+from .int_linalg import IntMatrix, ValidatedMatrix, prepare
 from .kernel import BergmanKernelForm
 from .laurent import LaurentPolynomial
 from .tent import tent, tent_product_over_box
@@ -45,16 +45,15 @@ def kernel_unimodular(vm: ValidatedMatrix) -> BergmanKernelForm:
     if vm.det != 1:
         raise NotUnimodularError(f"det B = {vm.det}, expected 1")
     n = vm.n
-    split = sign_split(vm.matrix)
     abs_colsums = vm.matrix.column_abs_sums()
     exponent = tuple(s - 1 for s in abs_colsums)
     numerator = LaurentPolynomial.monomial(n, 1, exponent)
-    factors = []
-    for j in range(n):
-        factors.append(
-            LaurentPolynomial(n, {split.minus.row(j): 1})
-            - LaurentPolynomial(n, {split.plus.row(j): 1})
+    factors = [
+        LaurentPolynomial(
+            n, {tuple(max(-x, 0) for x in row): 1, tuple(max(x, 0) for x in row): -1}
         )
+        for row in vm.matrix.rows
+    ]
     return BergmanKernelForm(
         n=n,
         det=1,

@@ -54,10 +54,8 @@ from typing import Sequence
 
 import numpy as np
 
-from ._backend import _MAX_BYTES
+from ._backend import _INT64_SAFE, _MAX_BYTES
 from .errors import InvalidKError, NumeratorTooLargeError
-
-_INT64_SAFE = 2**62
 
 
 def tent(k: int, r: int) -> int:

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from bergpoly import DimensionMismatchError, DivisionByZeroPolynomialError, LaurentPolynomial
+from bergpoly import DimensionMismatchError, LaurentPolynomial
 from bergpoly import _backend
 from bergpoly.kernel import assemble_kernel
 from bergpoly.oracle import OracleReport
@@ -27,7 +27,7 @@ def try_exact_divide(num: LaurentPolynomial, divisor: LaurentPolynomial):
     if num.n != divisor.n:
         raise DimensionMismatchError(f"{num.n} variables vs {divisor.n}")
     if divisor.is_zero():
-        raise DivisionByZeroPolynomialError("division by the zero polynomial")
+        raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
         return LaurentPolynomial.zero(num.n)
     s_num = num.min_exponents()

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from bergpoly import IntMatrix, prepare
-from bergpoly import families
+
+import families
 
 HARTOGS = ((1, -1), (0, 1))
 WORKED = ((2, -1), (0, 1))

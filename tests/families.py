@@ -13,14 +13,14 @@ import random
 
 import numpy as np
 
-from .errors import InputError
-from .int_linalg import (
+from bergpoly.errors import InputError
+from bergpoly.int_linalg import (
     IntMatrix,
     ValidatedMatrix,
     normalize,
     prepare,
 )
-from .special import GeneralizedHartogsSpec, SignatureOneSpec
+from bergpoly.special import GeneralizedHartogsSpec, SignatureOneSpec
 
 
 def valid_2x2_family(max_abs: int = 4, max_det: int = 8) -> list[ValidatedMatrix]:
@@ -74,12 +74,6 @@ def subsample(items: list, count: int) -> list:
         return list(items)
     idx = np.linspace(0, len(items) - 1, count).round().astype(int)
     return [items[i] for i in sorted(set(int(i) for i in idx))]
-
-
-def sweep_family(max_3x3: int = 400) -> list[ValidatedMatrix]:
-    """The oracle-sweep family: all valid 2x2 (entries within 4, det <= 8)
-    plus an evenly subsampled slice of the exhaustive 3x3 enumeration."""
-    return valid_2x2_family() + subsample(valid_3x3_family(), max_3x3)
 
 
 def _random_triangular_unimodular(n: int, rng: random.Random) -> IntMatrix:

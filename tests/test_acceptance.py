@@ -30,7 +30,12 @@ from bergpoly import (
     tent,
     tent_coefficients,
 )
-from bergpoly.families import (
+from bergpoly.int_linalg import adjugate, row_gcd
+from bergpoly.kernel import exponent_box
+from bergpoly.special import chain_matrix, signature_matrix
+
+from conftest import sample_interior_point
+from families import (
     chain_specs,
     normalized_family,
     signature_specs,
@@ -38,11 +43,6 @@ from bergpoly.families import (
     unimodular_family,
     valid_family,
 )
-from bergpoly.int_linalg import adjugate, row_gcd
-from bergpoly.kernel import exponent_box
-from bergpoly.special import chain_matrix, signature_matrix
-
-from conftest import sample_interior_point
 
 
 def report(num, message):
@@ -167,7 +167,7 @@ def test_criterion_6_special_equivalences():
     for vm in unimodular:
         assert same_kernel(kernel_unimodular(vm), assemble_kernel(vm))
 
-    from bergpoly.families import valid_2x2_family
+    from families import valid_2x2_family
 
     two_by_two = valid_2x2_family()
     assert len(two_by_two) >= 50

@@ -1,18 +1,24 @@
-"""The benchmark's per-layer spans wrap package functions by name.
+"""The benchmark reaches the package by name.
 
 perfbench/spans.py lists each layer as (module, function name) pairs and
 rebinds those names while it traces.  A function that is renamed, moved
 or re-exported from another module would silently drop out of its layer,
-so every pair must still name a function defined in that module.
+so every pair must still name a function defined in that module.  The
+workloads and the scripts under benchmarks/ read package attributes and
+import names from package modules, and each of those must still resolve.
 """
 
+import ast
 import importlib
 import importlib.util
+import re
+import types
 from pathlib import Path
 
 import pytest
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 
 
 def _layers():
@@ -27,3 +33,38 @@ def _layers():
 def test_layer_function_is_defined_in_its_module(layer, module, name):
     fn = getattr(importlib.import_module(module), name)
     assert fn.__module__ == module, f"{layer}: {module}.{name} comes from {fn.__module__}"
+
+
+
+
+def _library_names():
+    """(file, module, attribute chain) for every bergpoly.<attr>[.<attr>...]
+    read, and every name imported from a bergpoly module, in the sources
+    of perfbench/ and benchmarks/."""
+    found = set()
+    for path in sorted([*ROOT.joinpath("perfbench").glob("*.py"),
+                        *ROOT.joinpath("benchmarks").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                text = ast.unparse(node)
+                if re.fullmatch(r"bergpoly(\.\w+)+", text):
+                    found.add((path.name, "bergpoly", text.partition(".")[2]))
+            elif (isinstance(node, ast.ImportFrom)
+                  and re.fullmatch(r"bergpoly(\.\w+)*", node.module or "")):
+                found.update((path.name, node.module, a.name) for a in node.names)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("source, module, chain", _library_names())
+def test_benchmark_library_name_resolves(source, module, chain):
+    # `pytest perfbench` is not part of this suite, so without this test a
+    # package name that the benchmark reads and a change deletes would
+    # first show up as a failed benchmark run
+    obj = importlib.import_module(module)
+    for attr in chain.split("."):
+        if not hasattr(obj, attr) and isinstance(obj, types.ModuleType):
+            name = f"{obj.__name__}.{attr}"
+            if importlib.util.find_spec(name) is not None:
+                importlib.import_module(name)
+        assert hasattr(obj, attr), f"{source}: {module}.{chain} does not resolve at {attr!r}"
+        obj = getattr(obj, attr)

@@ -14,10 +14,9 @@ from bergpoly import (
     parse_matrix,
     prepare,
     row_gcd,
-    sign_split,
 )
-from bergpoly.families import normalized_family
-from bergpoly.special import GeneralizedHartogsSpec, chain_matrix
+
+from families import normalized_family
 
 
 def small_matrix(n_values=(2, 3), span=5):
@@ -229,44 +228,6 @@ class TestValidate:
             assert vm.det == 1 and vm.adj == IntMatrix.identity(n)
 
 
-class TestSignSplit:
-    def test_hartogs(self):
-        s = sign_split(IntMatrix(((1, -1), (0, 1))))
-        assert s.plus == IntMatrix(((1, 0), (0, 1)))
-        assert s.minus == IntMatrix(((0, 1), (0, 0)))
-
-    def test_nonnegative(self):
-        m = IntMatrix(((1, 2), (0, 3)))
-        s = sign_split(m)
-        assert s.plus == m
-        assert all(x == 0 for r in s.minus.rows for x in r)
-
-    def test_chain_matrix_split(self):
-        # bidiagonal: positive part diagonal, negative part superdiagonal
-        spec = GeneralizedHartogsSpec((2, 3, 1))
-        b = chain_matrix(spec)
-        s = sign_split(b)
-        for i in range(3):
-            for j in range(3):
-                if i == j:
-                    assert s.minus.entry(i, j) == 0
-                elif j == i + 1:
-                    assert s.plus.entry(i, j) == 0
-                else:
-                    assert s.plus.entry(i, j) == 0 and s.minus.entry(i, j) == 0
-
-    @settings(max_examples=100, deadline=None)
-    @given(small_matrix())
-    def test_split_properties(self, m):
-        s = sign_split(m)
-        for i in range(m.n):
-            for j in range(m.n):
-                p, q = s.plus.entry(i, j), s.minus.entry(i, j)
-                assert p >= 0 and q >= 0
-                assert p - q == m.entry(i, j)
-                assert p * q == 0
-
-
 class TestRowGcd:
     @pytest.mark.parametrize(
         "vec,expected", [((2, -4, 6), 2), ((1, -1), 1), ((0, 5), 5)]
@@ -313,7 +274,6 @@ class TestParsing:
             IntMatrix(m4.rows)
         # matrices the package derives from an accepted one are not re-capped
         assert prepare(vm.matrix).adj == vm.adj
-        assert sign_split(vm.matrix).plus.n == 4
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bergpoly import (
     BergmanKernelForm,
@@ -12,20 +14,18 @@ from bergpoly import (
     IntMatrix,
     LaurentPolynomial,
     assemble_kernel,
-    box_ceiling,
     canonicity_check,
     denominator_factors,
     eval_kernel,
     exponent_box,
-    irreducibility_precondition,
     kernel_generalized_hartogs,
     numerator_coefficient,
     numerator_polynomial,
     prepare,
     same_kernel,
 )
-from bergpoly.int_linalg import ValidatedMatrix, adjugate, determinant
 
+import families
 from conftest import sample_interior_point
 
 
@@ -36,15 +36,15 @@ def poly(n, terms):
 class TestBoxCeiling:
     def test_identity(self):
         vm = prepare(IntMatrix.identity(3))
-        assert [box_ceiling(vm, j) for j in range(3)] == [1, 1, 1]
+        assert exponent_box(vm).ceilings == (1, 1, 1)
 
     def test_hartogs(self, hartogs_vm):
-        assert box_ceiling(hartogs_vm, 0) == 1
-        assert box_ceiling(hartogs_vm, 1) == 2  # column abs-sum 2, det 1
+        assert exponent_box(hartogs_vm).ceilings[0] == 1
+        assert exponent_box(hartogs_vm).ceilings[1] == 2  # column abs-sum 2, det 1
 
     def test_worked(self, worked_vm):
-        assert box_ceiling(worked_vm, 0) == 1  # column abs-sum 2, det 2
-        assert box_ceiling(worked_vm, 1) == 1
+        assert exponent_box(worked_vm).ceilings[0] == 1  # column abs-sum 2, det 2
+        assert exponent_box(worked_vm).ceilings[1] == 1
 
 
 class TestExponentBox:
@@ -102,6 +102,33 @@ class TestNumeratorPolynomial:
                 assert c == numerator_coefficient(vm, e)
 
 
+VALID_BY_N = {
+    n: families.valid_family(n, count, seed=31) for n, count in ((2, 30), (3, 60), (4, 20))
+}
+
+
+def assert_palindromic(vm):
+    box = exponent_box(vm)
+    terms = dict(numerator_polynomial(vm).items())
+    for nu, c in terms.items():
+        assert terms.get(tuple(l + u - x for l, u, x in zip(box.lower, box.upper, nu))) == c
+
+
+class TestNumeratorPalindrome:
+    """c(nu) = c(lower + upper - nu) on the exponent box, because
+    tent(k, r) = tent(k, 2k - 2 - r) and lower + upper + 2 * shift is twice
+    the column sums of B: this checks the enumerator and the box together."""
+
+    def test_2x2_family(self, family_2x2):
+        for vm in family_2x2:
+            assert_palindromic(vm)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from([2, 3, 4]).flatmap(lambda n: st.sampled_from(VALID_BY_N[n])))
+    def test_valid_families(self, vm):
+        assert_palindromic(vm)
+
+
 class TestDenominatorFactors:
     def test_polydisc(self):
         vm = prepare(IntMatrix.identity(2))
@@ -121,12 +148,11 @@ class TestDenominatorFactors:
 
     def test_structure_on_family(self, sweep_family):
         for vm in sweep_family[:40]:
-            for j, f in enumerate(denominator_factors(vm)):
+            for f in denominator_factors(vm):
                 terms = dict(f.items())
                 assert sorted(terms.values()) == [Fraction(-1), Fraction(1)]
                 exps = list(terms)
                 assert all(a * b == 0 for a, b in zip(*exps))  # disjoint supports
-                assert irreducibility_precondition(vm, j)
 
 
 class TestAssemble:
@@ -208,19 +234,6 @@ class TestCanonicity:
         assert not verdict.ok and verdict.failed_index == 0
 
 
-class TestIrreducibilityPrecondition:
-    def test_normalized_rows_pass(self, hartogs_vm, worked_vm):
-        for vm in (hartogs_vm, worked_vm):
-            for j in range(vm.n):
-                assert irreducibility_precondition(vm, j)
-
-    def test_unnormalized_row_fails(self):
-        # unreachable through prepare(); construct the record directly
-        m = IntMatrix(((2, -2), (0, 1)))
-        vm = ValidatedMatrix(m, determinant(m), adjugate(m))
-        assert not irreducibility_precondition(vm, 0)
-
-
 class TestEval:
     def test_polydisc_origin(self):
         for n in (2, 3):
@@ -275,25 +288,13 @@ class TestDenominatorClearing:
         # t^(2 * colsums(B_-)) * prod_j (1 - t^(b^j))^2 equals the product
         # of the squared sign-split binomials: the monomial shift that
         # turns the Laurent-series denominator into a polynomial one.
-        from bergpoly.int_linalg import sign_split
-        from bergpoly.laurent import product
-
         for vm in sweep_family[:40]:
             n = vm.n
-            split = sign_split(vm.matrix)
-            shift = tuple(2 * s for s in split.minus.column_abs_sums())
-            laurent_q = product(
-                (
-                    (
-                        LaurentPolynomial.one(n)
-                        - LaurentPolynomial.monomial(n, 1, vm.matrix.row(j))
-                    )
-                    ** 2
-                    for j in range(n)
-                ),
-                n,
-            )
-            squared = product(
-                (f * f for f in denominator_factors(vm)), n
-            )
-            assert laurent_q.shifted(shift) == squared
+            shift = tuple(2 * sum(max(-x, 0) for x in col) for col in zip(*vm.matrix.rows))
+            laurent_q = LaurentPolynomial.monomial(n, 1, shift)
+            squared = LaurentPolynomial.one(n)
+            for row, f in zip(vm.matrix.rows, denominator_factors(vm)):
+                binomial = LaurentPolynomial.one(n) - LaurentPolynomial.monomial(n, 1, row)
+                laurent_q = laurent_q * binomial * binomial
+                squared = squared * f * f
+            assert laurent_q == squared

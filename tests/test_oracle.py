@@ -22,11 +22,12 @@ from bergpoly import (
     parse_matrix,
     prepare,
 )
-from bergpoly import _backend, families, oracle
+from bergpoly import _backend, oracle
 from bergpoly.kernel import BergmanKernelForm
 from bergpoly.laurent import LaurentPolynomial
 from bergpoly.special import SignatureOneSpec, kernel_signature_one, signature_matrix
 
+import families
 from _reference import compare_uncut
 from conftest import sample_interior_point
 

@@ -162,9 +162,12 @@ def test_int_and_bool_scalars(x):
 def test_fraction_polynomial_terms():
     p = LaurentPolynomial(2, {(0, 1): Fraction(3, 4), (-1, 2): -5, (2, 0): Fraction(-7, 3)})
     payload = p.to_json_dict()
-    assert [t["den"] for t in payload["terms"]] == ["1", "4", "3"]
+    assert payload["terms"] == [
+        {"exp": [-1, 2], "num": "-5", "den": "1"},
+        {"exp": [0, 1], "num": "3", "den": "4"},
+        {"exp": [2, 0], "num": "-7", "den": "3"},
+    ]
     assert render.dumps(payload) == reference(payload)
-    assert LaurentPolynomial.from_json_dict(payload) == p
 
 
 @pytest.mark.parametrize(

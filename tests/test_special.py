@@ -22,7 +22,6 @@ from bergpoly import (
     same_kernel,
     tent,
 )
-from bergpoly.families import unimodular_family
 from bergpoly.special import (
     chain_bounds,
     chain_coefficient,
@@ -30,6 +29,8 @@ from bergpoly.special import (
     signature_coefficient,
     signature_matrix,
 )
+
+from families import unimodular_family
 
 
 class TestUnimodular:
