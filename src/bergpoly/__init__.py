@@ -66,6 +66,6 @@ from .special import (
     kernel_signature_one,
     kernel_unimodular,
 )
-from .tent import tent, tent_coefficients
+from .tent import tent_coefficients
 
 __version__ = "0.1.0"

@@ -39,13 +39,7 @@ import sys
 from pathlib import Path
 
 from . import render
-from .errors import (
-    BergpolyError,
-    CanonicityViolationError,
-    EvaluationAtSingularityError,
-    InputError,
-    PoleAtZeroError,
-)
+from .errors import BergpolyError, CanonicityViolationError, InputError
 from .int_linalg import IntMatrix, matrix_to_json, parse_matrix, prepare
 from .kernel import assemble_kernel, eval_kernel
 from .oracle import Window, compare_with_closed_form
@@ -250,14 +244,10 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_EXIT
     try:
         return _run(args)
-    except (InputError, PoleAtZeroError, EvaluationAtSingularityError,
-            ValueError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
     except CanonicityViolationError as exc:
         print(f"CanonicityViolation: {exc}", file=sys.stderr)
         return 3
-    except BergpolyError as exc:
+    except (BergpolyError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -38,9 +38,6 @@ class ExponentBox:
     upper: tuple[int, ...]
     ceilings: tuple[int, ...]
 
-    def is_empty(self) -> bool:
-        return any(l > u for l, u in zip(self.lower, self.upper))
-
     def volume(self) -> int:
         v = 1
         for l, u in zip(self.lower, self.upper):
@@ -49,6 +46,9 @@ class ExponentBox:
 
 
 def exponent_box(vm: ValidatedMatrix) -> ExponentBox:
+    """The box ceil_j - 1 <= nu_j <= 2 s_j - 1 - ceil_j, s_j = (1|B|)_j and
+    ceil_j = ceil(s_j / det B).  It is never empty: upper_j - lower_j =
+    2 (s_j - ceil_j) >= 0, since det B >= 1 gives ceil_j <= s_j."""
     colsums = vm.matrix.column_abs_sums()
     ceilings = tuple(-((-s) // vm.det) for s in colsums)
     lower = tuple(c - 1 for c in ceilings)
@@ -78,8 +78,6 @@ def numerator_coefficient(vm: ValidatedMatrix, nu: Sequence[int]) -> int:
 def numerator_polynomial(vm: ValidatedMatrix) -> LaurentPolynomial:
     """Sum of c(nu) t^nu over the exponent box (exponents all >= 0)."""
     box = exponent_box(vm)
-    if box.is_empty():
-        return LaurentPolynomial.zero(vm.n)
     shift = _shift_vector(vm)
     offsets = [sum(s * a for s, a in zip(shift, col)) - 1 for col in zip(*vm.adj.rows)]
     terms = tent_product_over_box(

@@ -248,33 +248,6 @@ class LaurentPolynomial:
             ],
         }
 
-    def to_latex(self, var: str = "t") -> str:
-        """Render with variables var_1 .. var_n, terms in canonical order."""
-        if not self._terms:
-            return "0"
-        pieces = []
-        for e, c in self.sorted_terms():
-            mono = " ".join(
-                f"{var}_{{{i + 1}}}" if k == 1 else f"{var}_{{{i + 1}}}^{{{k}}}"
-                for i, k in enumerate(e)
-                if k != 0
-            )
-            pieces.append((mono, c))
-        out = []
-        for i, (mono, c) in enumerate(pieces):
-            neg = c < 0
-            mag = -c if neg else c
-            if mag.denominator == 1:
-                coeff = "" if (mag == 1 and mono) else str(mag.numerator)
-            else:
-                coeff = rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}"
-            body = coeff + (" " if coeff and mono else "") + mono if mono else (coeff or "1")
-            if i == 0:
-                out.append(("-" if neg else "") + body)
-            else:
-                out.append(("- " if neg else "+ ") + body)
-        return " ".join(out)
-
     def __repr__(self) -> str:
         if not self._terms:
             return "LaurentPolynomial(0)"

@@ -41,22 +41,25 @@ vanishes below qlo on the box, so the product with the denominator
 vanishes below qlo + (the denominator's least exponents), and the
 comparison fills and multiplies only the part of the box above that cut.
 
-The passes run on flat memory.  The filled series and one more buffer of
-the same size are C-contiguous, and the passes alternate between them.
-Entry x of a buffer stands for the exponent origin + x.  A pass by a
-factor with least exponents amin moves the origin by amin, so each term
-c t^a of the factor reads the previous buffer at one flat offset, that
-of a - amin, and the pass is one ufunc over flat slices.  Only the box
-vlo..shape - 1 of a buffer is valid, and each pass raises vlo by the
-factor's extent amax - amin.  A valid entry reads, for each term, the
-entry whose coordinates are its own minus a - amin; those lie in the
-previous valid box, so no carry across rows occurs.  The other entries
-the slices cover are margin values: computed, but never read by a valid
-entry.  When the margins would outweigh the valid box (2 * valid points
-< the entries the pass computes), the valid box is first copied into the
-other buffer as a contiguous array, so a hull much larger than the
-compared box does not make every pass pay for its whole size.  The
-compared box is read as a view of the last buffer.
+Every factor of a kernel form is a binomial t^a - t^b, up to sign, and
+its square does not see the sign, so a pass by a factor is one
+subtraction.  The passes run on flat memory.  The filled series and one
+more buffer of the same size are C-contiguous, and the passes alternate
+between them.  Entry x of a buffer stands for the exponent origin + x.
+A pass by a factor with least exponents amin = min(a, b) moves the
+origin by amin, so its two terms read the previous buffer at one flat
+offset each, those of a - amin and b - amin, and the pass is one
+np.subtract over flat slices.  Only the box vlo..shape - 1 of a buffer
+is valid, and each pass raises vlo by the factor's extent amax - amin.
+A valid entry reads, for each term, the entry whose coordinates are its
+own minus a - amin (or b - amin); those lie in the previous valid box,
+so no carry across rows occurs.  The other entries the slices cover are
+margin values: computed, but never read by a valid entry.  When the
+margins would outweigh the valid box (2 * valid points < the entries the
+pass computes), the valid box is first copied into the other buffer as a
+contiguous array, so a hull much larger than the compared box does not
+make every pass pay for its whole size.  The compared box is read as a
+view of the last buffer.
 """
 
 from __future__ import annotations
@@ -72,6 +75,10 @@ from . import _backend
 from .errors import NonConvergentError, WindowTooLargeError
 from .int_linalg import ValidatedMatrix
 from .kernel import BergmanKernelForm, assemble_kernel, eval_kernel
+
+# relative change between partial sums below which the spot check's series
+# counts as settled
+CAUCHY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -175,57 +182,45 @@ class OracleReport:
         return not self.mismatches
 
 
-def _accumulator_dtype(hull_bound: int, factors) -> type:
+def _accumulator_dtype(hull_bound: int, k: int) -> type:
     """int64 when every pass provably fits, object otherwise.  |S| <= hull_bound
-    on the hull, and a pass by f multiplies the largest |value| by at most
-    sum |c| over the terms of f; each factor is applied twice.  The bound
+    on the hull, and a pass by a binomial t^a - t^b at most doubles the
+    largest |value|; each of the k factors is applied twice.  The bound
     covers the margin entries of the flat passes too, since each is the
-    same combination sum c * (entry of the previous buffer) as a valid one."""
-    growth = math.prod(sum(abs(c) for _, c in terms) for terms in factors) ** 2
-    return object if hull_bound * growth >= _backend._INT64_SAFE else np.int64
+    same difference of two entries of the previous buffer as a valid one."""
+    return object if hull_bound * 4**k >= _backend._INT64_SAFE else np.int64
 
 
-def _extents(terms):
-    """(amin, amax, rel) of a factor's terms (a, c): its least and greatest
-    exponent per coordinate, and each term as (a - amin, c)."""
-    amin = tuple(map(min, zip(*(a for a, _ in terms))))
-    amax = tuple(map(max, zip(*(a for a, _ in terms))))
-    rel = [(tuple(x - m for x, m in zip(a, amin)), c) for a, c in terms]
-    return amin, amax, rel
+def _binomial(f) -> tuple[tuple[int, ...], ...]:
+    """(amin, amax, a - amin, b - amin) of a factor f = +-(t^a - t^b): its
+    least and greatest exponent per coordinate and its two exponents
+    relative to the least.  ValueError for any other polynomial."""
+    terms = list(f.items())
+    if sorted(c for _, c in terms) != [-1, 1]:
+        raise ValueError(f"the oracle multiplies by binomials t^a - t^b only, not {f!r}")
+    (a, _), (b, _) = terms
+    amin = tuple(map(min, a, b))
+    rel = [tuple(x - m for x, m in zip(e, amin)) for e in (a, b)]
+    return (amin, tuple(map(max, a, b)), *rel)
 
 
-def _multiply(src: np.ndarray, dst: np.ndarray, begin: int, terms) -> None:
-    """One pass over flat buffers of equal length: dst[k] = sum c * src[k - o]
-    over the terms (o, c) of flat offsets o <= begin, for every k >= begin.
-    A +-1 binomial is one subtraction."""
-    parts = [(src[begin - o : len(src) - o], c) for o, c in terms]
-    out = dst[begin:]
-    if len(parts) == 2 and {c for _, c in parts} == {1, -1}:  # one ufunc
-        (x, cx), (y, _) = parts
-        if cx == -1:
-            x, y = y, x
-        np.subtract(x, y, out=out)
-        return
-    np.multiply(parts[0][0], parts[0][1], out=out)
-    for part, c in parts[1:]:
-        if c == 1:
-            out += part
-        elif c == -1:
-            out -= part
-        else:
-            out += part * c
+def _multiply(src: np.ndarray, dst: np.ndarray, begin: int, a: int, b: int) -> None:
+    """One pass over flat buffers of equal length: dst[k] = src[k - a] -
+    src[k - b] for every k >= begin, for flat offsets a, b <= begin."""
+    np.subtract(src[begin - a : len(src) - a], src[begin - b : len(src) - b], out=dst[begin:])
 
 
 def _passes(hull: np.ndarray, spare: np.ndarray, factors) -> np.ndarray:
-    """hull times every factor (amin, amax, rel) twice, as a view of the
+    """hull times every factor (amin, amax, a, b) twice, as a view of the
     product's valid box; hull and spare are C-contiguous buffers of
     hull.size entries (see the module docstring for the layout).
 
     A buffer holds dims-shaped data in its first prod(dims) entries, valid
     on vlo..dims - 1.  A pass writes the other buffer from begin, the flat
-    index of vlo + amax - amin, and its term t^a reads at the flat offset
-    of a - amin.  When 2 * valid points < prod(dims) - begin, the valid box
-    is first copied into the other buffer as a dims - vlo array."""
+    index of vlo + amax - amin, and it reads at the flat offsets of a and
+    b, the factor's exponents relative to amin.  When 2 * valid points <
+    prod(dims) - begin, the valid box is first copied into the other
+    buffer as a dims - vlo array."""
     bufs = [hull.reshape(-1), spare]
     dims, vlo = list(hull.shape), [0] * hull.ndim
 
@@ -233,7 +228,7 @@ def _passes(hull: np.ndarray, spare: np.ndarray, factors) -> np.ndarray:
         box = bufs[0][: math.prod(dims)].reshape(dims)
         return box[tuple(slice(v, None) for v in vlo)]
 
-    for amin, amax, rel in factors:
+    for amin, amax, a, b in factors:
         for _ in range(2):
             nlo = [v + h - l for v, l, h in zip(vlo, amin, amax)]
             valid = math.prod(d - v for d, v in zip(dims, nlo))
@@ -245,10 +240,7 @@ def _passes(hull: np.ndarray, spare: np.ndarray, factors) -> np.ndarray:
                 nlo = [h - l for l, h in zip(amin, amax)]
             size = math.prod(dims)
             _multiply(
-                bufs[0][:size],
-                bufs[1][:size],
-                _flat(nlo, dims),
-                [(_flat(a, dims), c) for a, c in rel],
+                bufs[0][:size], bufs[1][:size], _flat(nlo, dims), _flat(a, dims), _flat(b, dims)
             )
             bufs.reverse()
             vlo = nlo
@@ -316,13 +308,15 @@ def compare_with_closed_form(
     below the cut are compared with 0.  The report's safe box is the whole
     compared box, and `checked` counts its points; no window is too small.
 
-    The accumulator is int64 when product_bound(filled box) *
-    prod_f (sum |c_f|)^2 < 2**62 (4**n for +-1 binomials), exact Python
-    integers otherwise.  The bound covers the margins too: each margin
-    entry is the same combination of entries of the previous buffer as a
-    valid entry.  On the object path, a pass reads only entries an earlier
-    pass or the fill has written.  When the second buffer cannot be
-    allocated, WindowTooLargeError names the comparison grid.
+    Every factor must be a binomial +-(t^a - t^b), as every kernel form's
+    is; any other factor is a ValueError.  A pass by one is a single
+    subtraction, and the accumulator is int64 when product_bound(filled
+    box) * 4**k < 2**62 for k factors, exact Python integers otherwise.
+    The bound covers the margins too: each margin entry is the same
+    difference of two entries of the previous buffer as a valid entry.
+    On the object path, a pass reads only entries an earlier pass or the
+    fill has written.  When the second buffer cannot be allocated,
+    WindowTooLargeError names the comparison grid.
     """
     if form is None:
         form = assemble_kernel(vm)
@@ -330,9 +324,9 @@ def compare_with_closed_form(
     det_adj = vm.det ** (n - 1)
     ratio = det_adj * Fraction(form.prefactor)
     p, q = ratio.numerator, ratio.denominator
-    factors = [_extents([(e, int(c)) for e, c in f.items()]) for f in form.factors]
-    dmin = [2 * sum(x) for x in zip(*(amin for amin, _, _ in factors))]
-    dmax = [2 * sum(x) for x in zip(*(amax for _, amax, _ in factors))]
+    factors = [_binomial(f) for f in form.factors]
+    dmin = [2 * sum(x) for x in zip(*(f[0] for f in factors))]
+    dmax = [2 * sum(x) for x in zip(*(f[1] for f in factors))]
     num = form.numerator
     lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
     hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
@@ -347,10 +341,7 @@ def compare_with_closed_form(
     shape = tuple(h - e + 1 for e, h in zip(elo, hi))
     points = math.prod(shape)
     acc = _backend.fill_products(adj_rows, fill_lo, hull_hi, jobs=jobs)
-    dtype = _accumulator_dtype(
-        _backend.product_bound(adj_rows, fill_lo, hull_hi),
-        [rel for _, _, rel in factors],
-    )
+    dtype = _accumulator_dtype(_backend.product_bound(adj_rows, fill_lo, hull_hi), len(factors))
     terms, below = [], []
     for e, c in num.items():
         (terms if all(x >= l for x, l in zip(e, elo)) else below).append((e, int(c)))
@@ -459,11 +450,11 @@ def numeric_spot_check(
     q: Sequence[complex],
     terms: int,
     form: BergmanKernelForm | None = None,
-    cauchy_tol: float = 1e-9,
 ) -> float:
     """Relative error between the closed form and the truncated orthonormal
     series at (p, q); the truncation radius walks up until a Cauchy
-    criterion holds twice in a row, else NonConvergentError.
+    criterion (relative step <= CAUCHY_TOL) holds twice in a row, else
+    NonConvergentError.
 
     The radii are step, 2 step, ... and `terms`, step = max(4, terms // 10);
     the partial sum at a radius covers every admissible m with
@@ -487,7 +478,7 @@ def numeric_spot_check(
     for _, total in _partial_sums(vm, t, radii):
         cur = total / math.pi**vm.n
         if prev is not None:
-            if abs(cur - prev) <= cauchy_tol * max(abs(cur), 1e-300):
+            if abs(cur - prev) <= CAUCHY_TOL * max(abs(cur), 1e-300):
                 stable += 1
                 if stable >= 2:
                     value = cur

@@ -1,5 +1,8 @@
 """Serializers: canonical JSON, LaTeX and plain-text output.
 
+LaTeX and plain text are written by one term writer, `poly_terms`, from
+the templates of its syntax (LATEX or TEXT).
+
 JSON output is deterministic byte-for-byte: keys sorted, two-space
 indent, rationals as decimal strings, polynomial terms in lexicographic
 exponent order.  dumps(obj) is exactly json.dumps(obj, sort_keys=True,
@@ -136,63 +139,50 @@ def form_to_json_dict(form: BergmanKernelForm) -> dict:
     }
 
 
-def _coeff_text(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+# (variable, power, separator, fraction) templates of a term's pieces
+LATEX = ("t_{%d}", "t_{%d}^{%d}", " ", r"\frac{%d}{%d}")
+TEXT = ("t%d", "t%d^%d", "*", "%d/%d")
 
 
-def poly_text(p: LaurentPolynomial, var: str = "t") -> str:
-    if p.is_zero():
-        return "0"
+def _coeff_text(c: Fraction, fraction: str = TEXT[3]) -> str:
+    return str(c.numerator) if c.denominator == 1 else fraction % (c.numerator, c.denominator)
+
+
+def poly_terms(p: LaurentPolynomial, syntax: tuple[str, str, str, str]) -> str:
+    """p in variables t_1 .. t_n, terms in canonical order, written with
+    the templates of syntax (LATEX or TEXT).  A coefficient of magnitude
+    1 is left out before a monomial; the first term carries a bare "-"
+    when it is negative, every later one "- " or "+ "; the zero
+    polynomial is "0"."""
+    var, power, sep, fraction = syntax
     chunks = []
     for e, c in p.sorted_terms():
-        mono = "*".join(
-            f"{var}{i + 1}" if k == 1 else f"{var}{i + 1}^{k}"
-            for i, k in enumerate(e)
-            if k != 0
-        )
-        neg = c < 0
-        mag = -c if neg else c
-        if not mono:
-            body = _coeff_text(mag)
-        elif mag == 1:
-            body = mono
-        else:
-            body = f"{_coeff_text(mag)}*{mono}"
-        if not chunks:
-            chunks.append(("-" if neg else "") + body)
-        else:
-            chunks.append(("- " if neg else "+ ") + body)
-    return " ".join(chunks)
+        parts = [var % (i + 1) if k == 1 else power % (i + 1, k) for i, k in enumerate(e) if k]
+        mag = abs(c)
+        if mag != 1 or not parts:
+            parts.insert(0, _coeff_text(mag, fraction))
+        sign = ("-" if c < 0 else "") if not chunks else ("- " if c < 0 else "+ ")
+        chunks.append(sign + sep.join(parts))
+    return " ".join(chunks) or "0"
 
 
 def form_to_text(form: BergmanKernelForm) -> str:
-    pre = form.prefactor
-    if pre.denominator == 1:
-        pre_txt = f"{pre.numerator}" if pre != 1 else "1"
-    else:
-        pre_txt = f"{pre.numerator}/{pre.denominator}"
-    den = " * ".join(f"({poly_text(f)})^2" for f in form.factors)
+    den = " * ".join(f"({poly_terms(f, TEXT)})^2" for f in form.factors)
     return (
-        f"K(p,q) = ({pre_txt}/pi^{-form.pi_exponent})"
-        f" * ({poly_text(form.numerator)}) / ({den})"
+        f"K(p,q) = ({_coeff_text(form.prefactor)}/pi^{-form.pi_exponent})"
+        f" * ({poly_terms(form.numerator, TEXT)}) / ({den})"
     )
 
 
 def form_to_latex(form: BergmanKernelForm) -> str:
     pre = form.prefactor
-    npi = -form.pi_exponent
-    pi_part = rf"\pi^{{{npi}}}"
-    if pre == 1:
-        prefactor = rf"\frac{{1}}{{{pi_part}}}"
-    elif pre.numerator == 1:
-        prefactor = rf"\frac{{1}}{{{pre.denominator}\,{pi_part}}}"
-    else:
-        prefactor = rf"\frac{{{pre.numerator}}}{{{pre.denominator}\,{pi_part}}}"
-    den = " ".join(rf"\left({f.to_latex()}\right)^{{2}}" for f in form.factors)
+    pi_part = rf"\pi^{{{-form.pi_exponent}}}"
+    if pre != 1:
+        pi_part = rf"{pre.denominator}\,{pi_part}"
+    den = " ".join(rf"\left({poly_terms(f, LATEX)}\right)^{{2}}" for f in form.factors)
     return (
-        prefactor
-        + r" \cdot "
-        + rf"\frac{{{form.numerator.to_latex()}}}{{{den}}}"
+        rf"\frac{{{pre.numerator}}}{{{pi_part}}} \cdot "
+        rf"\frac{{{poly_terms(form.numerator, LATEX)}}}{{{den}}}"
     )
 
 

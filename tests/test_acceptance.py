@@ -27,12 +27,12 @@ from bergpoly import (
     numeric_spot_check,
     prepare,
     same_kernel,
-    tent,
     tent_coefficients,
 )
 from bergpoly.int_linalg import adjugate, row_gcd
 from bergpoly.kernel import exponent_box
 from bergpoly.special import chain_matrix, signature_matrix
+from bergpoly.tent import tent
 
 from conftest import sample_interior_point
 from families import (

@@ -305,6 +305,53 @@ class TestSpecial:
         assert code == 1 and "gcd" in err
 
 
+# latex and text output, byte for byte
+FORMATTED = [
+    (("kernel", "--matrix", "1 -1 / 0 1", "--format", "latex"),
+     r"\frac{1}{\pi^{2}} \cdot \frac{t_{2}}{\left(t_{2} - t_{1}\right)^{2} "
+     r"\left(1 - t_{2}\right)^{2}}"),
+    (("kernel", "--matrix", "1 -1 / 0 1", "--format", "text"),
+     "K(p,q) = (1/pi^2) * (t2) / ((t2 - t1)^2 * (1 - t2)^2)"),
+    (("kernel", "--matrix", "2 -1 / 0 1", "--format", "latex"),
+     r"\frac{1}{2\,\pi^{2}} \cdot \frac{t_{2} + t_{2}^{2} + 4 t_{1} t_{2} + t_{1}^{2} "
+     r"+ t_{1}^{2} t_{2}}{\left(t_{2} - t_{1}^{2}\right)^{2} \left(1 - t_{2}\right)^{2}}"),
+    (("kernel", "--matrix", "2 -1 / 0 1", "--format", "text"),
+     "K(p,q) = (1/2/pi^2) * (t2 + t2^2 + 4*t1*t2 + t1^2 + t1^2*t2) "
+     "/ ((t2 - t1^2)^2 * (1 - t2)^2)"),
+    (("kernel", "--matrix", "1 -3 0 / 0 3 -1 / 0 0 1", "--format", "latex"),
+     r"\frac{1}{9\,\pi^{3}} \cdot \frac{3 t_{2}^{3} t_{3} + 6 t_{2}^{3} t_{3}^{2} "
+     r"+ 12 t_{2}^{4} t_{3} + 6 t_{2}^{4} t_{3}^{2} + 27 t_{2}^{5} t_{3} + 6 t_{2}^{6} "
+     r"+ 12 t_{2}^{6} t_{3} + 6 t_{2}^{7} + 3 t_{2}^{7} t_{3}}{\left(t_{2}^{3} - t_{1}\right)^{2} "
+     r"\left(t_{3} - t_{2}^{3}\right)^{2} \left(1 - t_{3}\right)^{2}}"),
+    (("kernel", "--matrix", "1 -3 0 / 0 3 -1 / 0 0 1", "--format", "text"),
+     "K(p,q) = (1/9/pi^3) * (3*t2^3*t3 + 6*t2^3*t3^2 + 12*t2^4*t3 + 6*t2^4*t3^2 "
+     "+ 27*t2^5*t3 + 6*t2^6 + 12*t2^6*t3 + 6*t2^7 + 3*t2^7*t3) "
+     "/ ((t2^3 - t1)^2 * (t3 - t2^3)^2 * (1 - t3)^2)"),
+    (("special", "--family", "sig1", "--params", "2,3,5", "--format", "latex"),
+     r"\frac{1}{4\,\pi^{3}} \cdot \frac{t_{2}^{4} t_{3}^{7} + t_{2}^{4} t_{3}^{8} "
+     r"+ t_{2}^{5} t_{3}^{7} + t_{2}^{5} t_{3}^{8} + 8 t_{1} t_{2}^{3} t_{3}^{5} "
+     r"+ t_{1}^{2} t_{2} t_{3}^{2} + t_{1}^{2} t_{2} t_{3}^{3} + t_{1}^{2} t_{2}^{2} t_{3}^{2} "
+     r"+ t_{1}^{2} t_{2}^{2} t_{3}^{3}}{\left(t_{2}^{3} t_{3}^{5} - t_{1}^{2}\right)^{2} "
+     r"\left(1 - t_{2}\right)^{2} \left(1 - t_{3}\right)^{2}}"),
+    (("special", "--family", "sig1", "--params", "2,3,5", "--format", "text"),
+     "K(p,q) = (1/4/pi^3) * (t2^4*t3^7 + t2^4*t3^8 + t2^5*t3^7 + t2^5*t3^8 "
+     "+ 8*t1*t2^3*t3^5 + t1^2*t2*t3^2 + t1^2*t2*t3^3 + t1^2*t2^2*t3^2 + t1^2*t2^2*t3^3) "
+     "/ ((t2^3*t3^5 - t1^2)^2 * (1 - t2)^2 * (1 - t3)^2)"),
+    (("special", "--family", "pz", "--params", "2,3", "--format", "latex"),
+     r"\frac{1}{2\,\pi^{2}} \cdot \frac{t_{2}^{4} + t_{2}^{5} + 4 t_{1} t_{2}^{3} "
+     r"+ t_{1}^{2} t_{2} + t_{1}^{2} t_{2}^{2}}{\left(t_{2}^{3} - t_{1}^{2}\right)^{2} "
+     r"\left(1 - t_{2}\right)^{2}}"),
+    (("special", "--family", "pz", "--params", "2,3", "--format", "text"),
+     "K(p,q) = (1/2/pi^2) * (t2^4 + t2^5 + 4*t1*t2^3 + t1^2*t2 + t1^2*t2^2) "
+     "/ ((t2^3 - t1^2)^2 * (1 - t2)^2)"),
+]
+
+
+@pytest.mark.parametrize("argv,expected", FORMATTED, ids=[" ".join(a) for a, _ in FORMATTED])
+def test_latex_and_text_output(capsys, argv, expected):
+    assert run(capsys, *argv) == (0, expected + "\n", "")
+
+
 class TestUsage:
     def test_unknown_flag(self, capsys):
         assert run(capsys, "kernel", "--bogus")[0] == 64

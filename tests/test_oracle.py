@@ -221,52 +221,43 @@ class TestCompare:
         assert found[(1, 1)] == (4, 2)  # numerator 4, scaled by 2 * 1/2
 
     def test_accumulator_dtype_edge(self):
-        monomial = [((0,), 1)]
-        binomial = [((0,), 1), ((1,), -1)]
-        assert oracle._accumulator_dtype(2**62 - 1, [monomial]) is np.int64
-        assert oracle._accumulator_dtype(2**62, [monomial]) is object
+        assert oracle._accumulator_dtype(2**62 - 1, 0) is np.int64
+        assert oracle._accumulator_dtype(2**62, 0) is object
         # a +-1 binomial at most doubles |value| per pass, so 4x in all
-        assert oracle._accumulator_dtype(2**60 - 1, [binomial]) is np.int64
-        assert oracle._accumulator_dtype(2**60, [binomial]) is object
-
-    def test_multiply_int64_matches_object(self, worked_vm):
-        adj = [list(r) for r in worked_vm.adj.rows]
-        hull = _backend.fill_products(adj, (-4, -3), (9, 8))
-        terms = [((0, 1), 1), ((2, 0), -1), ((1, 1), 3)]
-        # flat offsets in the (14, 12) hull, relative to the least exponents
-        # (0, 0); the pass computes every entry from the flat index of the
-        # greatest ones, (2, 1)
-        flat = [(12 * a + b, c) for (a, b), c in terms]
-        small, big = (np.empty(hull.size, dtype) for dtype in (np.int64, object))
-        oracle._multiply(hull.reshape(-1).astype(np.int64), small, 25, flat)
-        oracle._multiply(hull.reshape(-1).astype(object), big, 25, flat)
-        # the valid box: the hull's lower corner plus (2, 1) up to its upper
-        # corner, i.e. the exponents (-2, -2)..(9, 8)
-        small = small.reshape(14, 12)[2:, 1:]
-        big = big.reshape(14, 12)[2:, 1:]
-        assert small.dtype == np.int64 and big.dtype == object
-        assert small.shape == big.shape == (12, 11)
-        assert all(int(a) == b for a, b in zip(small.reshape(-1), big.reshape(-1)))
-        # out[e] = sum c * hull[e - a] on the shrunk box, checked at one point
-        e = (5, 4)  # index (5, 4) - ((-4, -3) + (2, 1)) = (7, 6)
-        want = sum(c * hull[tuple(x - a - l for x, a, l in zip(e, ex, (-4, -3)))]
-                   for ex, c in terms)
-        assert big[7, 6] == want
+        assert oracle._accumulator_dtype(2**60 - 1, 1) is np.int64
+        assert oracle._accumulator_dtype(2**60, 1) is object
 
     @pytest.mark.parametrize("dtype", [np.int64, object])
     def test_binomial_pass_is_shifted_difference(self, worked_vm, dtype):
-        # the one-subtraction path, either coefficient first
+        # exponents (0, 1) and (2, 0) in the (14, 12) hull, relative to the
+        # least exponents (0, 0); the pass computes every entry from the flat
+        # index of the greatest ones, (2, 1)
         adj = [list(r) for r in worked_vm.adj.rows]
-        hull = _backend.fill_products(adj, (-4, -3), (9, 8)).astype(dtype)
-        for terms in ([((0, 1), 1), ((2, 0), -1)], [((0, 1), -1), ((2, 0), 1)]):
+        filled = _backend.fill_products(adj, (-4, -3), (9, 8))
+        hull = filled.astype(dtype)
+        for x, y in (((0, 1), (2, 0)), ((2, 0), (0, 1))):
             out = np.empty(hull.size, dtype)
-            oracle._multiply(
-                hull.reshape(-1), out, 25, [(12 * a + b, c) for (a, b), c in terms]
-            )
+            oracle._multiply(hull.reshape(-1), out, 25, 12 * x[0] + x[1], 12 * y[0] + y[1])
+            # the valid box: the hull's lower corner plus (2, 1) up to its
+            # upper corner, i.e. the exponents (-2, -2)..(9, 8)
             got = out.reshape(14, 12)[2:, 1:]
-            want = sum(hull[2 - a:14 - a, 1 - b:12 - b] * c for (a, b), c in terms)
+            want = (filled[2 - x[0]:14 - x[0], 1 - x[1]:12 - x[1]]
+                    - filled[2 - y[0]:14 - y[0], 1 - y[1]:12 - y[1]])
             assert got.dtype == hull.dtype and got.shape == (12, 11)
-            assert np.array_equal(got, want)
+            assert all(int(a) == b for a, b in zip(got.reshape(-1), want.reshape(-1)))
+
+    @pytest.mark.parametrize(
+        "factor",
+        [{(1, 0): 2, (0, 0): -2}, {(0, 1): 1, (1, 0): -1, (0, 0): 1}],
+        ids=["2t-2", "trinomial"],
+    )
+    def test_factor_must_be_a_unit_binomial(self, worked_vm, factor):
+        form = assemble_kernel(worked_vm)
+        form = dataclasses.replace(
+            form, factors=(LaurentPolynomial(2, factor), *form.factors[1:])
+        )
+        with pytest.raises(ValueError, match="binomials"):
+            compare_with_closed_form(worked_vm, Window.cube(2, 1), form=form)
 
     def test_jobs_deterministic(self, worked_vm):
         w = Window.of((-2, -2), (12, 12))
@@ -405,9 +396,9 @@ class TestAdmissibleCut:
         lengths = []
         multiply = oracle._multiply
 
-        def recording(src, dst, begin, terms):
+        def recording(src, dst, begin, a, b):
             lengths.append(len(src))
-            return multiply(src, dst, begin, terms)
+            return multiply(src, dst, begin, a, b)
 
         want = compare_uncut(vm, window, form=form)
         with mock.patch.object(oracle, "_multiply", recording):

@@ -1,5 +1,6 @@
 """render.dumps against json.dumps(sort_keys=True, indent=2) + newline."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -234,3 +235,52 @@ def test_kernel_forms(rows):
     for f in (form, form.canonicalized()):
         payload = render.form_to_json_dict(f)
         assert render.dumps(payload) == reference(payload)
+
+
+P = LaurentPolynomial
+F = Fraction
+
+
+@pytest.mark.parametrize(
+    "p,latex,text",
+    [
+        (P.zero(2), "0", "0"),
+        (P(2, {(0, 0): 3}), "3", "3"),
+        (P(2, {(0, 0): 1}), "1", "1"),
+        (P(2, {(0, 0): -1}), "-1", "-1"),
+        (P(2, {(1, 0): 1, (0, 2): -1}), "-t_{2}^{2} + t_{1}", "-t2^2 + t1"),
+        (
+            P(2, {(2, 0): F(1, 2), (0, 0): F(-3, 4), (1, 1): F(5, 3)}),
+            r"-\frac{3}{4} + \frac{5}{3} t_{1} t_{2} + \frac{1}{2} t_{1}^{2}",
+            "-3/4 + 5/3*t1*t2 + 1/2*t1^2",
+        ),
+        (
+            P(3, {(-1, 0, 2): 2, (0, -3, 0): -1, (1, 1, 1): 1}),
+            "2 t_{1}^{-1} t_{3}^{2} - t_{2}^{-3} + t_{1} t_{2} t_{3}",
+            "2*t1^-1*t3^2 - t2^-3 + t1*t2*t3",
+        ),
+        (P(2, {(0, 0): -2, (1, 0): 7, (0, 1): -5}), "-2 - 5 t_{2} + 7 t_{1}", "-2 - 5*t2 + 7*t1"),
+    ],
+)
+def test_poly_terms(p, latex, text):
+    assert render.poly_terms(p, render.LATEX) == latex
+    assert render.poly_terms(p, render.TEXT) == text
+
+
+@pytest.mark.parametrize(
+    "prefactor,latex,text",
+    [
+        (F(1), r"\frac{1}{\pi^{2}}", "(1/pi^2)"),
+        (F(1, 3), r"\frac{1}{3\,\pi^{2}}", "(1/3/pi^2)"),
+        (F(2, 3), r"\frac{2}{3\,\pi^{2}}", "(2/3/pi^2)"),
+        (F(2), r"\frac{2}{1\,\pi^{2}}", "(2/pi^2)"),
+    ],
+)
+def test_prefactors(prefactor, latex, text):
+    form = dataclasses.replace(assemble_kernel(IntMatrix(((1, -1), (0, 1)))), prefactor=prefactor)
+    assert render.form_to_latex(form) == (
+        latex + r" \cdot \frac{t_{2}}{\left(t_{2} - t_{1}\right)^{2} \left(1 - t_{2}\right)^{2}}"
+    )
+    assert render.form_to_text(form) == (
+        f"K(p,q) = {text} * (t2) / ((t2 - t1)^2 * (1 - t2)^2)"
+    )

@@ -20,7 +20,6 @@ from bergpoly import (
     numerator_coefficient,
     prepare,
     same_kernel,
-    tent,
 )
 from bergpoly.special import (
     chain_bounds,
@@ -29,6 +28,7 @@ from bergpoly.special import (
     signature_coefficient,
     signature_matrix,
 )
+from bergpoly.tent import tent
 
 from families import unimodular_family
 

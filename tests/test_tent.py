@@ -1,12 +1,20 @@
 import itertools
+import types
 
 import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bergpoly import InvalidKError, NumeratorTooLargeError, tent, tent_coefficients
-from bergpoly.tent import _dtype, tent_product_over_box
+from bergpoly import InvalidKError, NumeratorTooLargeError, tent_coefficients
+from bergpoly.tent import _dtype, tent, tent_product_over_box
+
+
+def test_package_attribute_is_the_module():
+    import bergpoly.tent
+
+    assert isinstance(bergpoly.tent, types.ModuleType)
+    assert bergpoly.tent.tent_product_over_box is tent_product_over_box
 
 
 class TestTent:
