@@ -15,6 +15,10 @@ The coefficient support lives in a finite box.  NOTE the index
 convention: the box bounds use COLUMN sums of |B| = B_+ + B_-, i.e.
 (1|B|)_j, not row sums -- with ceil_j = ceil((1|B|)_j / det B), coordinate
 j of the support satisfies ceil_j - 1 <= nu_j <= 2 (1|B|)_j - 1 - ceil_j.
+
+A BergmanKernelForm stores its prefactor, integer numerator, binomial
+factors and validated matrix; n, det B, the exponent -n of pi and the
+exponent box are read off the matrix.
 """
 
 from __future__ import annotations
@@ -108,14 +112,26 @@ class CanonicityVerdict:
 class BergmanKernelForm:
     """prefactor * pi^pi_exponent * numerator / prod(factors squared)."""
 
-    n: int
-    det: int
     prefactor: Fraction
-    pi_exponent: int
     numerator: LaurentPolynomial
     factors: tuple[LaurentPolynomial, ...]
     source: ValidatedMatrix
-    box: ExponentBox | None = None
+
+    @property
+    def n(self) -> int:
+        return self.source.n
+
+    @property
+    def det(self) -> int:
+        return self.source.det
+
+    @property
+    def pi_exponent(self) -> int:
+        return -self.source.n
+
+    @property
+    def box(self) -> ExponentBox:
+        return exponent_box(self.source)
 
     def canonicalized(self) -> "BergmanKernelForm":
         """Rewrite in the presentation of the general formula: the integer
@@ -131,12 +147,7 @@ class BergmanKernelForm:
         up to sign is left untouched, so genuine discrepancies stay
         visible.
         """
-        content = 0
-        for _, c in self.numerator.items():
-            if type(c) is not int:
-                content = 1
-                break
-            content = math.gcd(content, c)
+        content = math.gcd(*(c for _, c in self.numerator.items()))
         if content in (0, 1):
             prefactor, numerator = self.prefactor, self.numerator
         else:
@@ -149,16 +160,7 @@ class BergmanKernelForm:
             t if (f == t or f == -t) else f
             for f, t in zip(self.factors, row_oriented)
         )
-        return BergmanKernelForm(
-            self.n,
-            self.det,
-            prefactor,
-            self.pi_exponent,
-            numerator,
-            factors,
-            self.source,
-            self.box,
-        )
+        return BergmanKernelForm(prefactor, numerator, factors, self.source)
 
 
 def same_kernel(a: BergmanKernelForm, b: BergmanKernelForm) -> bool:
@@ -167,7 +169,7 @@ def same_kernel(a: BergmanKernelForm, b: BergmanKernelForm) -> bool:
     global sign on one binomial is immaterial; comparison fixes the sign by
     making the lex-leading coefficient positive)."""
     ca, cb = a.canonicalized(), b.canonicalized()
-    if (ca.n, ca.pi_exponent, ca.prefactor) != (cb.n, cb.pi_exponent, cb.prefactor):
+    if (ca.n, ca.prefactor) != (cb.n, cb.prefactor):
         return False
     if ca.numerator != cb.numerator:
         return False
@@ -180,7 +182,7 @@ def canonicity_check(form: BergmanKernelForm) -> CanonicityVerdict:
     """No denominator binomial may divide the numerator; returns the first
     offending factor index otherwise.
 
-    Each factor is t^a - t^b with s = a - b != 0, and Q[Z^n]/(1 - t^s) is
+    Each factor is t^a - t^b with s = a - b != 0, and Z[Z^n]/(1 - t^s) is
     the group ring of Z^n / Zs, so the factor divides the numerator exactly
     when the numerator's coefficients sum to zero on every coset of Zs
     (LaurentPolynomial.divisible_by_binomial): O(terms * n) per factor,
@@ -207,21 +209,13 @@ def assemble_kernel(
     a bug, never a property of a bounded domain's kernel).
     """
     vm = m if isinstance(m, ValidatedMatrix) else prepare(m)
-    box = exponent_box(vm)
     numerator = numerator_polynomial(vm)
     if numerator.is_zero():
         raise CanonicityViolationError(
             "empty numerator: a Bergman kernel cannot vanish identically"
         )
     form = BergmanKernelForm(
-        n=vm.n,
-        det=vm.det,
-        prefactor=Fraction(1, vm.det ** (vm.n - 1)),
-        pi_exponent=-vm.n,
-        numerator=numerator,
-        factors=tuple(denominator_factors(vm)),
-        source=vm,
-        box=box,
+        Fraction(1, vm.det ** (vm.n - 1)), numerator, tuple(denominator_factors(vm)), vm
     )
     verdict = canonicity_check(form)
     if not verdict.ok:

@@ -1,19 +1,20 @@
-"""Sparse multivariate Laurent polynomials with exact rational coefficients.
+"""Sparse multivariate Laurent polynomials with integer coefficients.
 
 Terms live in a map from integer exponent tuples (entries may be negative)
-to nonzero coefficients, stored as int when integral and as Fraction
-otherwise; both carry .numerator and .denominator, which every serializer
-reads.  The canonical term order is lexicographic on the exponent tuple;
-serialization, equality and evaluation all follow it.
+to nonzero int coefficients: every kernel numerator is a sum of tent
+products and every denominator factor a binomial +-(t^a - t^b), so no
+polynomial the package builds needs another coefficient type; rational
+scalars such as the prefactor live beside the polynomials.  The canonical
+term order is lexicographic on the exponent tuple; serialization,
+equality and evaluation all follow it.
 
-Divisibility by a binomial c t^a - c t^b is decided by the total
-coefficient sum when it is nonzero, else by coset sums in O(terms * n):
-this is the canonicity check.
+`binomial()` is the one parser of a factor +-(t^a - t^b).  Divisibility
+by such a factor is decided by the total coefficient sum when it is
+nonzero, else by coset sums in O(terms * n): this is the canonicity check.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .errors import DimensionMismatchError, PoleAtZeroError
@@ -21,24 +22,19 @@ from .errors import DimensionMismatchError, PoleAtZeroError
 Exponent = tuple[int, ...]
 
 
-def _coerce(c) -> int | Fraction:
-    """c as an int when integral, else as a Fraction."""
-    if type(c) is int:
-        return c
-    c = c if isinstance(c, Fraction) else Fraction(c)
-    return c.numerator if c.denominator == 1 else c
-
-
 class LaurentPolynomial:
     """Immutable sparse Laurent polynomial in n variables."""
 
     __slots__ = ("n", "_terms")
 
-    def __init__(self, n: int, terms: Mapping[Sequence[int], Fraction | int] | None = None):
-        cleaned: dict[Exponent, int | Fraction] = {}
+    def __init__(self, n: int, terms: Mapping[Sequence[int], int] | None = None):
+        """Integral coefficients of any type are stored as int; others raise ValueError."""
+        cleaned: dict[Exponent, int] = {}
         if terms:
             for e, c in terms.items():
-                c = _coerce(c)
+                if int(c) != c:
+                    raise ValueError(f"non-integral coefficient {c!r}")
+                c = int(c)
                 if c == 0:
                     continue
                 e = tuple(int(x) for x in e)
@@ -56,12 +52,12 @@ class LaurentPolynomial:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _from_clean(cls, n: int, terms: dict[Exponent, int | Fraction]) -> "LaurentPolynomial":
+    def _from_clean(cls, n: int, terms: dict[Exponent, int]) -> "LaurentPolynomial":
         """Wrap a term map that is already clean, without copying or checking
-        it: tuple exponents of length n, nonzero coefficients, int when
-        integral and Fraction otherwise.  The polynomial takes ownership of
-        terms.  Only the class itself and its trusted builders call this;
-        LaurentPolynomial(n, terms) checks everything."""
+        it: tuple exponents of length n, nonzero int coefficients.  The
+        polynomial takes ownership of terms.  Only the class itself and its
+        trusted builders call this; LaurentPolynomial(n, terms) checks
+        everything."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", terms)
@@ -77,7 +73,7 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, n: int, coeff, exponent: Sequence[int]) -> "LaurentPolynomial":
-        return cls(n, {tuple(exponent): _coerce(coeff)})
+        return cls(n, {tuple(exponent): coeff})
 
     # -- inspection --------------------------------------------------------
 
@@ -87,13 +83,13 @@ class LaurentPolynomial:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def coefficient(self, exponent: Sequence[int]) -> int | Fraction:
+    def coefficient(self, exponent: Sequence[int]) -> int:
         return self._terms.get(tuple(exponent), 0)
 
     def items(self):
         return self._terms.items()
 
-    def sorted_terms(self) -> list[tuple[Exponent, int | Fraction]]:
+    def sorted_terms(self) -> list[tuple[Exponent, int]]:
         """Terms in lexicographic exponent order (the canonical order)."""
         return sorted(self._terms.items())
 
@@ -128,7 +124,7 @@ class LaurentPolynomial:
         for e, c in other._terms.items():
             s = out.get(e, 0) + c
             if s:
-                out[e] = s if type(s) is int else _coerce(s)
+                out[e] = s
             else:
                 out.pop(e, None)
         return LaurentPolynomial._from_clean(self.n, out)
@@ -140,30 +136,25 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other) -> "LaurentPolynomial":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPolynomial):
             return self.scaled(other)
         self._check(other)
-        out: dict[Exponent, int | Fraction] = {}
+        out: dict[Exponent, int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
                 s = out.get(e, 0) + c1 * c2
                 if s:
-                    out[e] = s if type(s) is int else _coerce(s)
+                    out[e] = s
                 else:
                     out.pop(e, None)
         return LaurentPolynomial._from_clean(self.n, out)
 
-    def __rmul__(self, other) -> "LaurentPolynomial":
+    def __rmul__(self, other: int) -> "LaurentPolynomial":
         return self.scaled(other)
 
-    def scaled(self, factor) -> "LaurentPolynomial":
-        factor = _coerce(factor)
-        if factor == 0:
-            return LaurentPolynomial.zero(self.n)
-        return LaurentPolynomial._from_clean(
-            self.n, {e: _coerce(c * factor) for e, c in self._terms.items()}
-        )
+    def scaled(self, factor: int) -> "LaurentPolynomial":
+        return LaurentPolynomial(self.n, {e: c * factor for e, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -177,12 +168,21 @@ class LaurentPolynomial:
 
     # -- division ----------------------------------------------------------
 
-    def divisible_by_binomial(self, f: "LaurentPolynomial") -> bool:
-        """Whether f = c t^a - c t^b (c != 0, a != b) divides self exactly
-        in the Laurent ring; any other f raises ValueError.
+    def binomial(self) -> tuple[Exponent, Exponent]:
+        """(a, b) for self = +-(t^a - t^b), a != b, with a the exponent of
+        the +1 term; ValueError for any other polynomial."""
+        if len(self._terms) == 2:
+            (a, ca), (b, cb) = self._terms.items()
+            if ca == -cb and ca in (1, -1):
+                return (a, b) if ca == 1 else (b, a)
+        raise ValueError(f"only binomials +-(t^a - t^b) are factors, not {self!r}")
 
-        Up to the unit c t^b, f is t^s - 1 with s = a - b, and for every
-        nonzero s, primitive or not, Q[Z^n]/(1 - t^s) is Q[Z^n / Zs].  So f
+    def divisible_by_binomial(self, f: "LaurentPolynomial") -> bool:
+        """Whether f = +-(t^a - t^b) (a != b) divides self exactly in the
+        Laurent ring; any other f raises ValueError (`binomial()`).
+
+        Up to the unit +-t^b, f is t^s - 1 with s = a - b, and for every
+        nonzero s, primitive or not, Z[Z^n]/(1 - t^s) is Z[Z^n / Zs].  So f
         divides self exactly when self's coefficients sum to zero on every
         coset e + Zs.  With p the first nonzero coordinate of s, each coset
         has exactly one representative e - floor(e_p / s_p) s, the one whose
@@ -195,14 +195,12 @@ class LaurentPolynomial:
         (a multiple of f, or a corrupted numerator) runs the coset sums.
         """
         self._check(f)
-        if len(f) != 2 or sum(c for _, c in f.items()) != 0:
-            raise ValueError(f"not a binomial c*t^a - c*t^b: {f!r}")
+        a, b = f.binomial()
         if sum(self._terms.values()):
             return False
-        a, b = f._terms
         s = tuple(x - y for x, y in zip(a, b))
         p = next(i for i, x in enumerate(s) if x)
-        sums: dict[Exponent, int | Fraction] = {}
+        sums: dict[Exponent, int] = {}
         for e, c in self._terms.items():
             k = e[p] // s[p]
             r = tuple(x - k * y for x, y in zip(e, s)) if k else e
@@ -243,7 +241,7 @@ class LaurentPolynomial:
         return {
             "n": self.n,
             "terms": [
-                {"exp": [*e], "num": str(c.numerator), "den": str(c.denominator)}
+                {"exp": [*e], "num": str(c), "den": "1"}
                 for e, c in self.sorted_terms()
             ],
         }

@@ -194,11 +194,9 @@ def _accumulator_dtype(hull_bound: int, k: int) -> type:
 def _binomial(f) -> tuple[tuple[int, ...], ...]:
     """(amin, amax, a - amin, b - amin) of a factor f = +-(t^a - t^b): its
     least and greatest exponent per coordinate and its two exponents
-    relative to the least.  ValueError for any other polynomial."""
-    terms = list(f.items())
-    if sorted(c for _, c in terms) != [-1, 1]:
-        raise ValueError(f"the oracle multiplies by binomials t^a - t^b only, not {f!r}")
-    (a, _), (b, _) = terms
+    relative to the least.  ValueError for any other polynomial
+    (LaurentPolynomial.binomial)."""
+    a, b = f.binomial()
     amin = tuple(map(min, a, b))
     rel = [tuple(x - m for x, m in zip(e, amin)) for e in (a, b)]
     return (amin, tuple(map(max, a, b)), *rel)
@@ -322,7 +320,7 @@ def compare_with_closed_form(
         form = assemble_kernel(vm)
     n = vm.n
     det_adj = vm.det ** (n - 1)
-    ratio = det_adj * Fraction(form.prefactor)
+    ratio = det_adj * form.prefactor
     p, q = ratio.numerator, ratio.denominator
     factors = [_binomial(f) for f in form.factors]
     dmin = [2 * sum(x) for x in zip(*(f[0] for f in factors))]
@@ -344,7 +342,7 @@ def compare_with_closed_form(
     dtype = _accumulator_dtype(_backend.product_bound(adj_rows, fill_lo, hull_hi), len(factors))
     terms, below = [], []
     for e, c in num.items():
-        (terms if all(x >= l for x, l in zip(e, elo)) else below).append((e, int(c)))
+        (terms if all(x >= l for x, l in zip(e, elo)) else below).append((e, c))
     idx = tuple(
         np.array([e[i] - elo[i] for e, _ in terms], dtype=np.intp) for i in range(n)
     )

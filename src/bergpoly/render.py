@@ -26,7 +26,7 @@ import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str
 
-from .kernel import BergmanKernelForm, exponent_box
+from .kernel import BergmanKernelForm
 from .laurent import LaurentPolynomial
 from .oracle import OracleReport
 
@@ -101,8 +101,8 @@ def _ints(xs: list[int], nl: str) -> str:
 
 def _poly(p: LaurentPolynomial, nl: str) -> str:
     """p.to_json_dict() as json writes it at indent nl.  Every term is
-    one template filled with (den, *exp, num), all ints: a coefficient
-    is an int or a Fraction, and both carry numerator and denominator."""
+    one template filled with (*exp, coefficient), all ints; "den" is the
+    literal "1"."""
     key = nl + "  "
     terms = p.sorted_terms()
     if not terms:
@@ -111,8 +111,8 @@ def _poly(p: LaurentPolynomial, nl: str) -> str:
     field = item + "  "
     entry = field + "  "
     exp = f"[{entry}{(',' + entry).join(['%d'] * p.n)}{field}]" if p.n else "[]"
-    template = f'{{{field}"den": "%d",{field}"exp": {exp},{field}"num": "%d"{item}}}'
-    body = ("," + item).join([template % (c.denominator, *e, c.numerator) for e, c in terms])
+    template = f'{{{field}"den": "1",{field}"exp": {exp},{field}"num": "%d"{item}}}'
+    body = ("," + item).join([template % (*e, c) for e, c in terms])
     return f'{{{key}"n": {p.n},{key}"terms": [{item}{body}{key}]{nl}}}'
 
 
@@ -120,7 +120,7 @@ def form_to_json_dict(form: BergmanKernelForm) -> dict:
     """The kernel form's JSON payload for dumps.  Its numerator and
     denominator factors are LaurentPolynomial values, which dumps writes
     as their to_json_dict(); json.dumps needs default= for them."""
-    box = form.box if form.box is not None else exponent_box(form.source)
+    box = form.box
     return {
         "n": form.n,
         "detB": form.det,
@@ -139,28 +139,28 @@ def form_to_json_dict(form: BergmanKernelForm) -> dict:
     }
 
 
-# (variable, power, separator, fraction) templates of a term's pieces
-LATEX = ("t_{%d}", "t_{%d}^{%d}", " ", r"\frac{%d}{%d}")
-TEXT = ("t%d", "t%d^%d", "*", "%d/%d")
+# (variable, power, separator) templates of a term's pieces
+LATEX = ("t_{%d}", "t_{%d}^{%d}", " ")
+TEXT = ("t%d", "t%d^%d", "*")
 
 
-def _coeff_text(c: Fraction, fraction: str = TEXT[3]) -> str:
-    return str(c.numerator) if c.denominator == 1 else fraction % (c.numerator, c.denominator)
+def _coeff_text(c: Fraction) -> str:
+    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
-def poly_terms(p: LaurentPolynomial, syntax: tuple[str, str, str, str]) -> str:
+def poly_terms(p: LaurentPolynomial, syntax: tuple[str, str, str]) -> str:
     """p in variables t_1 .. t_n, terms in canonical order, written with
     the templates of syntax (LATEX or TEXT).  A coefficient of magnitude
     1 is left out before a monomial; the first term carries a bare "-"
     when it is negative, every later one "- " or "+ "; the zero
     polynomial is "0"."""
-    var, power, sep, fraction = syntax
+    var, power, sep = syntax
     chunks = []
     for e, c in p.sorted_terms():
         parts = [var % (i + 1) if k == 1 else power % (i + 1, k) for i, k in enumerate(e) if k]
         mag = abs(c)
         if mag != 1 or not parts:
-            parts.insert(0, _coeff_text(mag, fraction))
+            parts.insert(0, str(mag))
         sign = ("-" if c < 0 else "") if not chunks else ("- " if c < 0 else "+ ")
         chunks.append(sign + sep.join(parts))
     return " ".join(chunks) or "0"
@@ -177,7 +177,7 @@ def form_to_text(form: BergmanKernelForm) -> str:
 def form_to_latex(form: BergmanKernelForm) -> str:
     pre = form.prefactor
     pi_part = rf"\pi^{{{-form.pi_exponent}}}"
-    if pre != 1:
+    if pre.denominator != 1:
         pi_part = rf"{pre.denominator}\,{pi_part}"
     den = " ".join(rf"\left({poly_terms(f, LATEX)}\right)^{{2}}" for f in form.factors)
     return (

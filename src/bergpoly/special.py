@@ -54,15 +54,7 @@ def kernel_unimodular(vm: ValidatedMatrix) -> BergmanKernelForm:
         )
         for row in vm.matrix.rows
     ]
-    return BergmanKernelForm(
-        n=n,
-        det=1,
-        prefactor=Fraction(1),
-        pi_exponent=-n,
-        numerator=numerator,
-        factors=tuple(factors),
-        source=vm,
-    )
+    return BergmanKernelForm(Fraction(1), numerator, tuple(factors), vm)
 
 
 # -- n = 2 ----------------------------------------------------------------
@@ -109,15 +101,7 @@ def kernel_dim2(vm: ValidatedMatrix) -> BergmanKernelForm:
     numerator = LaurentPolynomial._from_clean(2, terms)
     factor1 = LaurentPolynomial(2, {(0, a12): 1, (a22, 0): -1})
     factor2 = LaurentPolynomial(2, {(a21, 0): 1, (0, a11): -1})
-    return BergmanKernelForm(
-        n=2,
-        det=vm.det,
-        prefactor=Fraction(1, det_a),
-        pi_exponent=-2,
-        numerator=numerator,
-        factors=(factor1, factor2),
-        source=vm,
-    )
+    return BergmanKernelForm(Fraction(1, det_a), numerator, (factor1, factor2), vm)
 
 
 # -- signature one --------------------------------------------------------
@@ -202,15 +186,7 @@ def kernel_signature_one(spec: SignatureOneSpec) -> BergmanKernelForm:
         factors.append(LaurentPolynomial(n, {(0,) * n: 1, e: -1}))
 
     vm = prepare(signature_matrix(spec))
-    return BergmanKernelForm(
-        n=n,
-        det=vm.det,
-        prefactor=Fraction(1, big_l),
-        pi_exponent=-n,
-        numerator=numerator,
-        factors=tuple(factors),
-        source=vm,
-    )
+    return BergmanKernelForm(Fraction(1, big_l), numerator, tuple(factors), vm)
 
 
 # -- generalized Hartogs triangles ---------------------------------------
@@ -248,10 +224,9 @@ def _chain_data(spec: GeneralizedHartogsSpec):
     big_p = math.prod(p)
     pprime = [big_p // x for x in p]
     d = [math.gcd(p[j], p[j + 1]) for j in range(n - 1)] + [p[n - 1]]
-    lam = math.prod(d)
     # m_j = lcm(p'_j, p'_{j+1}) with p'_{n+1} = 1; uniformly P / d_j.
     m = [big_p // d[j] for j in range(n)]
-    return big_p, pprime, d, lam, m
+    return big_p, pprime, d, m
 
 
 def chain_matrix(spec: GeneralizedHartogsSpec) -> IntMatrix:
@@ -259,7 +234,7 @@ def chain_matrix(spec: GeneralizedHartogsSpec) -> IntMatrix:
     -p_{j+1}/d_j, last row scaled by d_n = p_n down to 1."""
     p = spec.p
     n = len(p)
-    _, _, d, _, _ = _chain_data(spec)
+    _, _, d, _ = _chain_data(spec)
     rows = []
     for j in range(n):
         row = [0] * n
@@ -273,7 +248,7 @@ def chain_matrix(spec: GeneralizedHartogsSpec) -> IntMatrix:
 def chain_prefix_values(spec: GeneralizedHartogsSpec, alpha) -> list[int]:
     """The recursion P_1 = 2 m_1 - p'_1 + 1 - p'_1 a_1,
     P_j = 2 m_j - p'_j - p'_j a_j + P_{j-1}."""
-    _, pprime, _, _, m = _chain_data(spec)
+    _, pprime, _, m = _chain_data(spec)
     out = []
     prev = 1
     for j, a in enumerate(alpha):
@@ -284,7 +259,7 @@ def chain_prefix_values(spec: GeneralizedHartogsSpec, alpha) -> list[int]:
 
 def chain_coefficient(spec: GeneralizedHartogsSpec, alpha) -> int:
     """prod_j weight(m_j, P_j(alpha)) for the chain-domain numerator."""
-    _, _, _, _, m = _chain_data(spec)
+    _, _, _, m = _chain_data(spec)
     out = 1
     for j, value in enumerate(chain_prefix_values(spec, alpha)):
         out *= chain_weight(m[j], value)
@@ -295,7 +270,7 @@ def chain_coefficient(spec: GeneralizedHartogsSpec, alpha) -> int:
 
 def chain_bounds(spec: GeneralizedHartogsSpec) -> tuple[int, ...]:
     """Per-coordinate caps N_j outside which every weight vanishes."""
-    _, pprime, _, _, m = _chain_data(spec)
+    _, pprime, _, m = _chain_data(spec)
     n = len(spec.p)
     out = [(2 * m[0] - 1 - pprime[0]) // pprime[0]]
     for j in range(1, n):
@@ -309,7 +284,7 @@ def kernel_generalized_hartogs(spec: GeneralizedHartogsSpec) -> BergmanKernelFor
     and denominator (1-t_n)^2 prod_{j<n} (t_j^{p_j/d_j} - t_{j+1}^{p_{j+1}/d_j})^2."""
     p = spec.p
     n = len(p)
-    big_p, pprime, d, lam, m = _chain_data(spec)
+    big_p, pprime, d, m = _chain_data(spec)
 
     # Expanded prefix form of the recursion: the argument of weight j is
     # affine in alpha_1..alpha_j, and weight(m, v) = tent(m, v - 2).
@@ -335,12 +310,4 @@ def kernel_generalized_hartogs(spec: GeneralizedHartogsSpec) -> BergmanKernelFor
     factors.append(LaurentPolynomial(n, {(0,) * n: 1, last: -1}))
 
     vm = prepare(chain_matrix(spec))
-    return BergmanKernelForm(
-        n=n,
-        det=big_p // lam,
-        prefactor=Fraction(1, big_p ** (n - 1)),
-        pi_exponent=-n,
-        numerator=numerator,
-        factors=tuple(factors),
-        source=vm,
-    )
+    return BergmanKernelForm(Fraction(1, big_p ** (n - 1)), numerator, tuple(factors), vm)

@@ -17,6 +17,8 @@ from pathlib import Path
 
 import pytest
 
+import bergpoly
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 
@@ -68,3 +70,23 @@ def test_benchmark_library_name_resolves(source, module, chain):
                 importlib.import_module(name)
         assert hasattr(obj, attr), f"{source}: {module}.{chain} does not resolve at {attr!r}"
         obj = getattr(obj, attr)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: bergpoly.assemble_kernel(bergpoly.IntMatrix(((2, -1), (0, 1)))),
+    lambda: bergpoly.kernel_unimodular(bergpoly.prepare(bergpoly.IntMatrix(((1, -1), (0, 1))))),
+    lambda: bergpoly.kernel_dim2(bergpoly.prepare(bergpoly.IntMatrix(((3, -2), (-1, 1))))),
+    lambda: bergpoly.kernel_signature_one(bergpoly.SignatureOneSpec((2, 3, 5))),
+    lambda: bergpoly.kernel_generalized_hartogs(bergpoly.GeneralizedHartogsSpec((2, 3, 1))),
+], ids=["assemble_kernel", "kernel_unimodular", "kernel_dim2", "kernel_signature_one",
+        "kernel_generalized_hartogs"])
+def test_benchmark_reads_of_a_form_resolve(build):
+    # perfbench/spans.py counts box.volume() and the numerator's terms;
+    # perfbench/workloads.py compares n, pi_exponent, prefactor, the
+    # numerator's items() and each factor's items()
+    form = build()
+    assert form.box.volume() >= len(form.numerator) > 0
+    assert form.pi_exponent == -form.n
+    assert form.prefactor > 0
+    assert all(type(c) is int for _, c in form.numerator.items())
+    assert all(len(f.items()) == 2 for f in form.factors)

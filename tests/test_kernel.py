@@ -222,10 +222,7 @@ class TestCanonicity:
     def test_corrupted_form_fails(self, hartogs_vm):
         factor = poly(2, {(0, 1): 1, (1, 0): -1})
         corrupted = BergmanKernelForm(
-            n=2,
-            det=1,
             prefactor=Fraction(1),
-            pi_exponent=-2,
             numerator=factor * poly(2, {(0, 1): 1}),
             factors=(factor, poly(2, {(0, 0): 1, (0, 1): -1})),
             source=hartogs_vm,

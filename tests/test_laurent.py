@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -14,29 +15,21 @@ from bergpoly.render import LATEX, poly_terms
 
 from _reference import try_exact_divide
 
-P = LaurentPolynomial
-
-
-def poly(n, terms):
-    return P(n, {e: Fraction(c) for e, c in terms.items()})
+P = poly = LaurentPolynomial
 
 
 def small_polys(n=2, max_terms=4, span=2):
     exps = st.tuples(*[st.integers(-span, span)] * n)
-    coeffs = st.fractions(
-        min_value=-4, max_value=4, max_denominator=3
-    ).filter(lambda c: c != 0)
+    coeffs = st.integers(-4, 4).filter(lambda c: c != 0)
     return st.dictionaries(exps, coeffs, min_size=0, max_size=max_terms).map(
         lambda d: P(n, d)
     )
 
 
 def binomials(n=2, span=3):
-    """c t^a - c t^b with a != b and c a nonzero Fraction."""
+    """c t^a - c t^b with a != b and c = +-1."""
     exps = st.tuples(*[st.integers(-span, span)] * n)
-    coeffs = st.fractions(
-        min_value=-4, max_value=4, max_denominator=3
-    ).filter(lambda c: c != 0)
+    coeffs = st.sampled_from([1, -1])
     return (
         st.tuples(exps, exps, coeffs)
         .filter(lambda t: t[0] != t[1])
@@ -105,7 +98,7 @@ class TestArithmetic:
         assert d * d == poly(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1})
 
     def test_mul_identity(self):
-        p = poly(2, {(1, -2): Fraction(3, 2), (0, 0): 1})
+        p = poly(2, {(1, -2): 3, (0, 0): 1})
         assert p * P.one(2) == p
 
     def test_telescoping(self):
@@ -134,7 +127,7 @@ class TestDivision:
         assert try_exact_divide(sq, d) == d
 
     def test_self_division(self):
-        p = poly(2, {(2, -1): 3, (0, 1): Fraction(1, 2)})
+        p = poly(2, {(2, -1): 3, (0, 1): 5})
         assert try_exact_divide(p, p) == P.one(2)
 
     def test_not_divisible_with_oracle(self):
@@ -153,13 +146,8 @@ class TestDivision:
         with pytest.raises(ZeroDivisionError):
             try_exact_divide(P.one(2), P.zero(2))
 
-    def test_integer_operands_divide_exactly(self):
-        q = try_exact_divide(P(1, {(1,): 1, (0,): -1}), P(1, {(1,): 2, (0,): -2}))
-        assert q == P(1, {(0,): Fraction(1, 2)})
-        assert type(q.coefficient((0,))) is Fraction
-
     def test_laurent_shift_round_trip(self):
-        q = poly(2, {(-1, 2): Fraction(2, 3), (0, 0): 1})
+        q = poly(2, {(-1, 2): 2, (0, 0): 1})
         d = poly(2, {(0, -1): 1, (-2, 0): -1})
         prod = q * d
         assert try_exact_divide(prod, d) == q
@@ -191,13 +179,13 @@ class TestBinomialDivisibility:
         [
             poly(2, {(0, 0): 1, (2, 2): -1}),  # a - b = (2, 2), not primitive
             poly(2, {(0, 1): 1, (3, 0): -1}),  # pivot s_p = -3 < 0
-            poly(2, {(1, -1): 3, (-2, 0): -3}),  # c = 3, negative exponents
-            poly(3, {(0, 2, 0): Fraction(2, 3), (0, 0, 1): Fraction(-2, 3)}),
+            poly(2, {(1, -1): -1, (-2, 0): 1}),  # c = -1, negative exponents
+            poly(3, {(0, 2, 0): 1, (0, 0, 1): -1}),
         ],
     )
     def test_edge_divisors(self, f):
         n = f.n
-        g = poly(n, {(1,) + (0,) * (n - 1): Fraction(1, 2), (0,) * n: Fraction(2, 3)})
+        g = poly(n, {(1,) + (0,) * (n - 1): 2, (0,) * n: 3})
         t = poly(n, {(0,) * (n - 1) + (1,): 1})
         cases = [g * f, f * f, g * f + t, g, f + t * f * f, P.zero(n)]
         for num in cases:
@@ -230,6 +218,10 @@ class TestBinomialDivisibility:
         assert not half.divisible_by_binomial(f)
         assert f.divisible_by_binomial(half)
 
+    def test_binomial_reads_the_plus_one_term_first(self):
+        assert poly(2, {(0, 1): 1, (1, 0): -1}).binomial() == ((0, 1), (1, 0))
+        assert poly(2, {(0, 1): -1, (1, 0): 1}).binomial() == ((1, 0), (0, 1))
+
     @pytest.mark.parametrize(
         "f",
         [
@@ -238,11 +230,13 @@ class TestBinomialDivisibility:
             poly(2, {(1, 0): 2, (0, 1): -1}),  # unequal magnitudes
             poly(2, {(1, 0): 1}),  # a monomial
             P.zero(2),
+            poly(2, {(1, -1): 3, (-2, 0): -3}),  # c = 3
+            poly(3, {(0, 2, 0): 2, (0, 0, 1): -2}),  # c = 2 in three variables
         ],
     )
     def test_non_binomial_raises(self, f):
-        with pytest.raises(ValueError):
-            P.one(2).divisible_by_binomial(f)
+        with pytest.raises(ValueError, match="binomials"):
+            P.one(f.n).divisible_by_binomial(f)
 
 
 class TestEvaluate:
@@ -279,15 +273,17 @@ class TestMonomialConstructor:
         assert P.monomial(2, 0, (1, 1)).is_zero()
 
     def test_integral_coefficients_are_int(self):
-        p = P(2, {(0, 0): Fraction(4, 2), (1, 0): 3, (0, 1): Fraction(1, 2)})
-        assert type(p.coefficient((0, 0))) is int
-        assert type(p.coefficient((1, 0))) is int
-        assert type(p.coefficient((0, 1))) is Fraction
-        assert type(p.coefficient((5, 5))) is int
+        p = P(2, {(0, 0): Fraction(4, 2), (1, 0): 3, (0, 1): np.int64(-5)})
+        assert all(type(p.coefficient(e)) is int for e in ((0, 0), (1, 0), (0, 1), (5, 5)))
         assert all(type(c) is int for _, c in (p * 2).items())
+        for c in (Fraction(1, 2), 0.5):
+            with pytest.raises(ValueError):
+                P(2, {(0, 0): c})
+            with pytest.raises(ValueError):
+                p * c
 
     @settings(max_examples=150, deadline=None)
-    @given(small_polys(), small_polys(), st.fractions(max_denominator=4))
+    @given(small_polys(), small_polys(), st.integers(-4, 4))
     def test_operations_keep_terms_clean(self, a, b, k):
         # ring operations skip the public constructor's checks, so their
         # term maps must already be what that constructor would build
@@ -295,24 +291,19 @@ class TestMonomialConstructor:
             assert dict(r.items()) == dict(P(2, dict(r.items())).items())
             for e, c in r.items():
                 assert type(e) is tuple and len(e) == 2 and c != 0
-                assert type(c) is (int if c.denominator == 1 else Fraction)
-
-    def test_rational_laurent(self):
-        p = P.monomial(2, Fraction(3, 2), (1, -2))
-        assert p.coefficient((1, -2)) == Fraction(3, 2)
-        assert len(p) == 1
+                assert type(c) is int
 
 
 class TestSerialization:
     def test_json_round_trip(self):
-        p = poly(2, {(1, -2): Fraction(3, 2), (0, 0): -1, (2, 1): 7})
+        p = poly(2, {(1, -2): 3, (0, 0): -1, (2, 1): 7})
         data = p.to_json_dict()
         assert data["n"] == 2
         exps = [tuple(t["exp"]) for t in data["terms"]]
         assert exps == sorted(exps)  # lexicographic order
         assert data["terms"] == [
             {"exp": [0, 0], "num": "-1", "den": "1"},
-            {"exp": [1, -2], "num": "3", "den": "2"},
+            {"exp": [1, -2], "num": "3", "den": "1"},
             {"exp": [2, 1], "num": "7", "den": "1"},
         ]
 
@@ -320,7 +311,7 @@ class TestSerialization:
         d = poly(2, {(0, 1): 1, (1, 0): -1})
         assert poly_terms(d, LATEX) == "t_{2} - t_{1}"
         assert poly_terms(P.zero(2), LATEX) == "0"
-        assert poly_terms(poly(2, {(2, 0): Fraction(1, 2)}), LATEX) == r"\frac{1}{2} t_{1}^{2}"
+        assert poly_terms(poly(2, {(2, 0): -3}), LATEX) == r"-3 t_{1}^{2}"
 
     def test_sign_normalized(self):
         d = poly(2, {(0, 1): 1, (1, 0): -1})  # leading (1,0) coeff -1

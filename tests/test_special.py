@@ -30,7 +30,7 @@ from bergpoly.special import (
 )
 from bergpoly.tent import tent
 
-from families import unimodular_family
+from families import chain_specs, signature_specs, unimodular_family
 
 
 class TestUnimodular:
@@ -170,6 +170,17 @@ class TestGeneralizedHartogs:
             ):
                 lhs = lam ** (n - 1) * numerator_coefficient(vm, alpha)
                 assert lhs == chain_coefficient(spec, alpha), (p, alpha)
+
+
+def test_family_determinants():
+    # det B of the chain matrix is P / Lambda, Lambda = prod_j d_j with
+    # d_j = gcd(p_j, p_(j+1)) and d_n = p_n; the signature matrix has det k_1
+    for spec in chain_specs():
+        p = spec.p
+        d = [math.gcd(a, b) for a, b in zip(p, p[1:])] + [p[-1]]
+        assert prepare(chain_matrix(spec)).det == math.prod(p) // math.prod(d), p
+    for spec in signature_specs():
+        assert prepare(signature_matrix(spec)).det == spec.k[0], spec.k
 
 
 class TestChainWeight:
