@@ -40,7 +40,7 @@ from pathlib import Path
 
 from . import render
 from .errors import BergpolyError, CanonicityViolationError, InputError
-from .int_linalg import IntMatrix, matrix_to_json, parse_matrix, prepare
+from .int_linalg import IntMatrix, parse_matrix, prepare
 from .kernel import assemble_kernel, eval_kernel
 from .oracle import Window, compare_with_closed_form
 from .special import (
@@ -93,8 +93,8 @@ def _build_parser() -> _Parser:
         "--window",
         type=int,
         default=None,
-        help="window radius (default: 3 times twice the largest exponent "
-        "spread of one denominator factor in one coordinate)",
+        help="window radius (default: 6 times the largest |entry| of the "
+        "normalized B)",
     )
     p_verify.add_argument(
         "--jobs", type=int, default=1,
@@ -155,14 +155,10 @@ def _emit_form(form, fmt: str) -> str:
     return render.form_to_text(form) + "\n"
 
 
-def _default_radius(form) -> int:
-    # f = t^a - t^b squares to t^2a - 2t^(a+b) + t^2b: twice f's spread
-    spread = max(
-        (2 * (h - l) for f in form.factors
-         for l, h in zip(f.min_exponents(), f.max_exponents())),
-        default=0,
-    )
-    return max(3 * spread, 1)
+def _default_radius(vm) -> int:
+    # row j's binomial t^((b_-)^j) - t^((b_+)^j) spreads |b_ji| in
+    # coordinate i and its square 2|b_ji|: 3 times the largest square's
+    return 6 * max(abs(x) for row in vm.matrix.rows for x in row)
 
 
 def _run(args) -> int:
@@ -172,8 +168,8 @@ def _run(args) -> int:
             "valid": True,
             "n": vm.n,
             "detB": vm.det,
-            "matrix": matrix_to_json(vm.matrix),
-            "adjugate": matrix_to_json(vm.adj),
+            "matrix": [list(r) for r in vm.matrix.rows],
+            "adjugate": [list(r) for r in vm.adj.rows],
         }
         sys.stdout.write(render.dumps(payload))
         return 0
@@ -205,7 +201,7 @@ def _run(args) -> int:
             raise InputError(f"--window must be at least 0, not {args.window}")
         vm = prepare(_load_matrix(args))
         form = assemble_kernel(vm)
-        radius = args.window if args.window is not None else _default_radius(form)
+        radius = args.window if args.window is not None else _default_radius(vm)
         window = Window.cube(vm.n, radius)
         report = compare_with_closed_form(vm, window, form=form, jobs=args.jobs)
         sys.stdout.write(render.dumps(render.report_to_json_dict(report)))

@@ -281,7 +281,3 @@ def parse_matrix(text: str) -> IntMatrix:
             raise ValueError("empty row in matrix text")
         rows.append([int(p) for p in parts])
     return IntMatrix(rows)
-
-
-def matrix_to_json(m: IntMatrix) -> list[list[int]]:
-    return [list(r) for r in m.rows]

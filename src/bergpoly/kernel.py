@@ -103,12 +103,6 @@ def denominator_factors(vm: ValidatedMatrix) -> list[LaurentPolynomial]:
 
 
 @dataclass(frozen=True)
-class CanonicityVerdict:
-    ok: bool
-    failed_index: int | None = None
-
-
-@dataclass(frozen=True)
 class BergmanKernelForm:
     """prefactor * pi^pi_exponent * numerator / prod(factors squared)."""
 
@@ -134,33 +128,22 @@ class BergmanKernelForm:
         return exponent_box(self.source)
 
     def canonicalized(self) -> "BergmanKernelForm":
-        """Rewrite in the presentation of the general formula: the integer
-        content of the numerator folded into the prefactor, and each
-        squared binomial oriented as t^((b_-)^j) - t^((b_+)^j).
+        """Fold the integer content of the numerator into the prefactor.
 
-        The assembled form already has the row orientation, but its
-        numerator may keep integer content (for B = (1 -3 0 / 0 3 -1 /
-        0 0 1) the prefactor is 1/9 and every coefficient a multiple of 3;
-        canonicalized gives 1/3).  Special-case constructions arrive in
-        their own scalings/orientations; all of them need this before
-        exact comparison.  A factor that does not match its row's binomial
-        up to sign is left untouched, so genuine discrepancies stay
-        visible.
+        The assembled numerator may keep integer content (for B = (1 -3 0 /
+        0 3 -1 / 0 0 1) the prefactor is 1/9 and every coefficient a
+        multiple of 3; canonicalized gives 1/3), and the special-case
+        constructions arrive in their own scalings; all of them need this
+        before exact comparison.  Every constructor writes row j's binomial
+        t^((b_-)^j) - t^((b_+)^j) as factor j, so the factors are kept.
         """
         content = math.gcd(*(c for _, c in self.numerator.items()))
         if content in (0, 1):
-            prefactor, numerator = self.prefactor, self.numerator
-        else:
-            prefactor = self.prefactor * content
-            numerator = LaurentPolynomial._from_clean(
-                self.n, {e: c // content for e, c in self.numerator.items()}
-            )
-        row_oriented = denominator_factors(self.source)
-        factors = tuple(
-            t if (f == t or f == -t) else f
-            for f, t in zip(self.factors, row_oriented)
+            return self
+        numerator = LaurentPolynomial._from_clean(
+            self.n, {e: c // content for e, c in self.numerator.items()}
         )
-        return BergmanKernelForm(prefactor, numerator, factors, self.source)
+        return BergmanKernelForm(self.prefactor * content, numerator, self.factors, self.source)
 
 
 def same_kernel(a: BergmanKernelForm, b: BergmanKernelForm) -> bool:
@@ -178,9 +161,9 @@ def same_kernel(a: BergmanKernelForm, b: BergmanKernelForm) -> bool:
     return fa == fb
 
 
-def canonicity_check(form: BergmanKernelForm) -> CanonicityVerdict:
-    """No denominator binomial may divide the numerator; returns the first
-    offending factor index otherwise.
+def canonicity_check(form: BergmanKernelForm) -> int | None:
+    """The index of the first denominator binomial that divides the
+    numerator, or None when none does (the form is canonical).
 
     Each factor is t^a - t^b with s = a - b != 0, and Z[Z^n]/(1 - t^s) is
     the group ring of Z^n / Zs, so the factor divides the numerator exactly
@@ -194,8 +177,8 @@ def canonicity_check(form: BergmanKernelForm) -> CanonicityVerdict:
     zero, such as a corrupted one or a multiple of a factor."""
     for j, factor in enumerate(form.factors):
         if form.numerator.divisible_by_binomial(factor):
-            return CanonicityVerdict(False, j)
-    return CanonicityVerdict(True)
+            return j
+    return None
 
 
 def assemble_kernel(
@@ -217,11 +200,9 @@ def assemble_kernel(
     form = BergmanKernelForm(
         Fraction(1, vm.det ** (vm.n - 1)), numerator, tuple(denominator_factors(vm)), vm
     )
-    verdict = canonicity_check(form)
-    if not verdict.ok:
-        raise CanonicityViolationError(
-            f"denominator factor {verdict.failed_index} divides the numerator"
-        )
+    failed = canonicity_check(form)
+    if failed is not None:
+        raise CanonicityViolationError(f"denominator factor {failed} divides the numerator")
     return form
 
 

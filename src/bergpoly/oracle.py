@@ -102,10 +102,6 @@ class Window:
     def of(cls, lower: Sequence[int], upper: Sequence[int]) -> "Window":
         return cls(tuple(int(x) for x in lower), tuple(int(x) for x in upper))
 
-    @property
-    def n(self) -> int:
-        return len(self.lower)
-
     def contains(self, m: Sequence[int]) -> bool:
         return all(l <= x <= u for l, x, u in zip(self.lower, m, self.upper))
 
@@ -166,16 +162,23 @@ def oracle_series(vm: ValidatedMatrix, window: Window, jobs: int = 1) -> OracleS
 
 @dataclass(frozen=True)
 class OracleReport:
-    """Outcome of one closed-form-vs-series comparison.  safe_lower and
-    safe_upper bound the compared box (the window together with the
-    numerator's bounding box); `checked` is its number of points."""
+    """Outcome of one closed-form-vs-series comparison: the mismatching
+    points, and safe_lower..safe_upper, the compared box (the window
+    together with the numerator's bounding box).  Every point of the box
+    is compared, so `checked` is its number of points and `matched` those
+    that are not mismatches."""
 
-    checked: int
-    matched: int
     mismatches: tuple[tuple[tuple[int, ...], Fraction, Fraction], ...]
     safe_lower: tuple[int, ...]
     safe_upper: tuple[int, ...]
-    window: Window
+
+    @property
+    def checked(self) -> int:
+        return math.prod(h - l + 1 for l, h in zip(self.safe_lower, self.safe_upper))
+
+    @property
+    def matched(self) -> int:
+        return self.checked - len(self.mismatches)
 
     @property
     def ok(self) -> bool:
@@ -373,15 +376,7 @@ def compare_with_closed_form(
         (e, Fraction(p * c, q * det_adj), Fraction(g, det_adj))
         for e, (c, g) in sorted(wrong.items())
     )
-    checked = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    return OracleReport(
-        checked=checked,
-        matched=checked - len(mismatches),
-        mismatches=mismatches,
-        safe_lower=lo,
-        safe_upper=hi,
-        window=window,
-    )
+    return OracleReport(mismatches, lo, hi)
 
 
 def _shell_sum(

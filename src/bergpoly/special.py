@@ -13,9 +13,11 @@ serve as independent witnesses in the cross-check tests:
   parametrized by a coprime positive vector p (bidiagonal defining
   matrix).
 
-The last two formulas come out in their own scalings (prefactors 1/L
-and 1/P^(n-1)); comparisons against the general form go through
-BergmanKernelForm.canonicalized().
+Each writes row j's binomial t^((b_-)^j) - t^((b_+)^j) of its defining
+matrix as factor j, as the general assembly does.  The last two formulas
+come out in their own scalings (prefactors 1/L and 1/P^(n-1));
+comparisons against the general form go through
+BergmanKernelForm.canonicalized(), which folds the numerator's content.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def chain_bounds(spec: GeneralizedHartogsSpec) -> tuple[int, ...]:
 def kernel_generalized_hartogs(spec: GeneralizedHartogsSpec) -> BergmanKernelForm:
     """Kernel with prefactor 1/(pi^n P^(n-1)), numerator
     sum_alpha prod_j weight(m_j, P_j) t^alpha over alpha in prod [0, N_j],
-    and denominator (1-t_n)^2 prod_{j<n} (t_j^{p_j/d_j} - t_{j+1}^{p_{j+1}/d_j})^2."""
+    and denominator (1-t_n)^2 prod_{j<n} (t_{j+1}^{p_{j+1}/d_j} - t_j^{p_j/d_j})^2."""
     p = spec.p
     n = len(p)
     big_p, pprime, d, m = _chain_data(spec)
@@ -302,8 +304,8 @@ def kernel_generalized_hartogs(spec: GeneralizedHartogsSpec) -> BergmanKernelFor
     factors = []
     for j in range(n - 1):
         terms = {
-            tuple(p[j] // d[j] if i == j else 0 for i in range(n)): 1,
-            tuple(p[j + 1] // d[j] if i == j + 1 else 0 for i in range(n)): -1,
+            tuple(p[j + 1] // d[j] if i == j + 1 else 0 for i in range(n)): 1,
+            tuple(p[j] // d[j] if i == j else 0 for i in range(n)): -1,
         }
         factors.append(LaurentPolynomial(n, terms))
     last = tuple(1 if i == n - 1 else 0 for i in range(n))

@@ -1,7 +1,6 @@
 """Slow, obviously correct references that the tests compare the package
 against."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -99,12 +98,4 @@ def compare_uncut(vm, window, form=None):
         g = int(acc[offs])
         if q * g != p * c:
             mismatches.append((e, Fraction(p * c, q * det_adj), Fraction(g, det_adj)))
-    checked = math.prod(acc.shape)
-    return OracleReport(
-        checked=checked,
-        matched=checked - len(mismatches),
-        mismatches=tuple(mismatches),
-        safe_lower=lo,
-        safe_upper=hi,
-        window=window,
-    )
+    return OracleReport(tuple(mismatches), lo, hi)

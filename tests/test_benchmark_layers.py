@@ -9,6 +9,7 @@ import names from package modules, and each of those must still resolve.
 """
 
 import ast
+import collections
 import importlib
 import importlib.util
 import re
@@ -18,16 +19,21 @@ from pathlib import Path
 import pytest
 
 import bergpoly
+from bergpoly import render
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 
 
-def _layers():
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return [(layer, mod, name) for layer, targets in module.LAYERS.items()
+    return module
+
+
+def _layers():
+    return [(layer, mod, name) for layer, targets in _spans().LAYERS.items()
             for mod, name in targets]
 
 
@@ -90,3 +96,20 @@ def test_benchmark_reads_of_a_form_resolve(build):
     assert form.prefactor > 0
     assert all(type(c) is int for _, c in form.numerator.items())
     assert all(len(f.items()) == 2 for f in form.factors)
+
+
+def test_benchmark_reads_of_a_report_resolve(worked_vm):
+    # perfbench/spans.py counts the window's points and the report's
+    # `checked`; perfbench/workloads.py reads `checked`, `matched` and
+    # `mismatches` from the JSON of `bergpoly verify`
+    window = bergpoly.Window.cube(2, 3)
+    report = bergpoly.compare_with_closed_form(worked_vm, window)
+    box = [h - l + 1 for l, h in zip(report.safe_lower, report.safe_upper)]
+    assert report.checked == box[0] * box[1] > 0
+    assert report.matched == report.checked and report.ok
+    counts = collections.defaultdict(int)
+    _spans()._count("compare_with_closed_form", (worked_vm, window), {}, report, counts)
+    assert counts == {"oracle.window_points": 49, "oracle.checked_points": report.checked}
+    data = render.report_to_json_dict(report)
+    assert (data["checked"], data["matched"], data["mismatches"]) == (
+        report.checked, report.checked, [])

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import bergpoly
 from bergpoly import cli
-from bergpoly.oracle import OracleReport, Window
+from bergpoly.oracle import OracleReport
+
+from families import subsample, valid_family
 
 
 def run(capsys, *argv):
@@ -229,14 +231,21 @@ class TestVerify:
         # radius 3 * 2: the squared factors (t2 - t1)^2 and (1 - t2)^2 span 2
         assert data["safeBox"] == {"lower": [-6, -6], "upper": [6, 6]}
 
+    def test_default_radius_is_the_factor_spread_rule(self, family_2x2, family_3x3):
+        # the radius read off B equals 3 times the largest spread 2 (max -
+        # min exponent) of a squared factor of the assembled form
+        mats = subsample(family_2x2, 40) + subsample(family_3x3, 60)
+        mats += valid_family(4, 20, seed=5)
+        for vm in mats:
+            spread = max(
+                2 * (h - l) for f in bergpoly.assemble_kernel(vm).factors
+                for l, h in zip(f.min_exponents(), f.max_exponents())
+            )
+            assert cli._default_radius(vm) == max(3 * spread, 1), vm.matrix.rows
+
     def test_mismatch_exit_code(self, capsys, monkeypatch):
         fake = OracleReport(
-            checked=5,
-            matched=4,
-            mismatches=(((1, 1), 1, 2),),
-            safe_lower=(0, 0),
-            safe_upper=(1, 1),
-            window=Window.cube(2, 3),
+            mismatches=(((1, 1), 1, 2),), safe_lower=(0, 0), safe_upper=(1, 1)
         )
         monkeypatch.setattr(cli, "compare_with_closed_form", lambda *a, **k: fake)
         code, out, err = run(capsys, "verify", "--matrix", "1 -1 / 0 1")

@@ -9,8 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bergpoly import IntMatrix, LaurentPolynomial, assemble_kernel, render
-from bergpoly.int_linalg import matrix_to_json
-from bergpoly.oracle import OracleReport, Window
+from bergpoly.oracle import OracleReport
 
 
 def polynomial_payload(obj):
@@ -185,16 +184,14 @@ def test_edge_values(obj):
         ),
         max_size=4,
     ),
-    st.integers(0, 100),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+    st.lists(st.integers(0, 12), min_size=2, max_size=2),
 )
-def test_report_payloads(mismatches, checked):
+def test_report_payloads(mismatches, lower, widths):
     report = OracleReport(
-        checked=checked,
-        matched=checked - len(mismatches),
         mismatches=tuple((tuple(e), a, b) for e, a, b in mismatches),
-        safe_lower=(-3, -3),
-        safe_upper=(4, 4),
-        window=Window.cube(2, 3),
+        safe_lower=tuple(lower),
+        safe_upper=tuple(l + w for l, w in zip(lower, widths)),
     )
     payload = render.report_to_json_dict(report)
     assert render.dumps(payload) == reference(payload)
@@ -204,7 +201,7 @@ def test_report_payloads(mismatches, checked):
 @given(st.integers(2, 4).flatmap(
     lambda n: st.lists(st.lists(big_ints, min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_matrix_payloads(rows):
-    payload = {"valid": True, "n": len(rows), "matrix": matrix_to_json(IntMatrix(rows))}
+    payload = {"valid": True, "n": len(rows), "matrix": [list(r) for r in IntMatrix(rows).rows]}
     assert render.dumps(payload) == reference(payload)
 
 

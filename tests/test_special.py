@@ -13,6 +13,7 @@ from bergpoly import (
     WrongDimensionError,
     assemble_kernel,
     chain_weight,
+    denominator_factors,
     kernel_dim2,
     kernel_generalized_hartogs,
     kernel_signature_one,
@@ -30,7 +31,7 @@ from bergpoly.special import (
 )
 from bergpoly.tent import tent
 
-from families import chain_specs, signature_specs, unimodular_family
+from families import chain_specs, signature_specs, subsample, unimodular_family
 
 
 class TestUnimodular:
@@ -194,3 +195,16 @@ class TestChainWeight:
         for m in range(1, 21):
             for value in range(-5, 2 * m + 6):
                 assert chain_weight(m, value) == tent(m, value - 2)
+
+
+def test_constructors_write_their_rows_binomials(family_2x2):
+    # factor j of every constructor's form is row j's t^(b_-) - t^(b_+),
+    # sign included, so canonicalized need not re-orient any factor
+    forms = [assemble_kernel(vm) for vm in family_2x2]
+    forms += [kernel_dim2(vm) for vm in family_2x2]
+    for n in (2, 3, 4, 5):
+        forms += [kernel_unimodular(vm) for vm in unimodular_family(n, 20, seed=n)]
+    forms += [kernel_signature_one(spec) for spec in subsample(signature_specs(), 300)]
+    forms += [kernel_generalized_hartogs(spec) for spec in chain_specs()]
+    for form in forms:
+        assert form.factors == tuple(denominator_factors(form.source)), form.source.matrix.rows
