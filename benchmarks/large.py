@@ -1,0 +1,165 @@
+"""Wall time of large CLI calls, and of the window comparison a wrong form falls back to.
+
+    python3 benchmarks/large.py --parent ../parent-checkout --pairs 10
+
+Runs each call of CALLS as a `python -m bergpoly.cli` subprocess, once
+on the parent checkout's `src/` and once on this one's per pair,
+alternating which side goes first as benchmarks/pairs.py does, and
+times each call's wall time, interpreter start included.  Both sides
+must print the same stdout with the same exit code, or the script stops
+with exit code 1.
+
+No CLI call reaches the window comparison of a correct form, so each
+side also times, in a subprocess of its own, one in-process window
+comparison (`oracle._compare_window`, or `compare_with_closed_form` in a
+checkout that has no `_compare_window`) of the 6x6 cyclic (2, -1) form
+with one numerator coefficient raised by 1, on the window of radius 5.
+Both sides must report the same mismatches.
+
+It prints each pair's times, both sides' medians and quartiles and the
+number of pairs the change wins, and writes the same, with both
+checkouts' git revisions, under the key "fixed" (the calls take no
+seed) of benchmarks/BENCH_large.json.
+"""
+
+from __future__ import annotations
+
+import argparse
+import dataclasses
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+from pairs import alternate, record, summary
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _cyclic(n: int, a: int, b: int) -> str:
+    """The n x n cyclic matrix with a on the diagonal and b right of it."""
+    return " / ".join(
+        " ".join(str(a if j == i else b if j == (i + 1) % n else 0) for j in range(n))
+        for i in range(n)
+    )
+
+
+CALLS = {
+    "verify_6x6_window5": ("verify", "--matrix", _cyclic(6, 2, -1), "--window", "5"),
+    "verify_5x5_default": ("verify", "--matrix", _cyclic(5, 2, -1)),
+    "kernel_3x3_40": ("kernel", "--matrix", _cyclic(3, 40, -39)),
+}
+FALLBACK = "fallback_6x6_window5"
+# the corrupted coefficient of the fallback form
+FALLBACK_TERM = (2, 3, 1, 4, 0, 2)
+
+
+def worker(src: Path) -> None:
+    """Time the window comparison of the corrupted 6x6 form on the bergpoly
+    under src; print one JSON line of its seconds and mismatches."""
+    sys.path.insert(0, str(src))
+    from bergpoly import LaurentPolynomial, Window, assemble_kernel, oracle, parse_matrix, prepare
+
+    vm = prepare(parse_matrix(_cyclic(6, 2, -1)))
+    form = assemble_kernel(vm)
+    terms = dict(form.numerator.items())
+    terms[FALLBACK_TERM] = terms.get(FALLBACK_TERM, 0) + 1
+    form = dataclasses.replace(form, numerator=LaurentPolynomial(vm.n, terms))
+    compare = getattr(oracle, "_compare_window", oracle.compare_with_closed_form)
+    start = time.perf_counter()
+    report = compare(vm, Window.cube(vm.n, 5), form=form)
+    seconds = time.perf_counter() - start
+    print(json.dumps({"seconds": seconds, "mismatches": repr(report.mismatches)}))
+
+
+def _call(checkout: Path, argv) -> tuple[float, tuple[int, str]]:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "bergpoly.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    seconds = time.perf_counter() - start
+    return seconds, (out.returncode, hashlib.sha256(out.stdout.encode()).hexdigest())
+
+
+def _fallback(checkout: Path) -> tuple[float, tuple[int, str]]:
+    out = subprocess.run(
+        [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return result["seconds"], (0, result["mismatches"])
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--worker", type=Path, help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.worker:
+        worker(args.worker)
+        return 0
+    if args.parent is None:
+        p.error("--parent is required")
+    if args.pairs < 2:
+        p.error("--pairs must be at least 2")
+    parent = args.parent.resolve()
+    if not (parent / "src" / "bergpoly" / "cli.py").is_file():
+        p.error("no src/bergpoly/cli.py under --parent")
+    sides = {"parent": parent, "change": ROOT}
+    names = [*CALLS, FALLBACK]
+
+    values = {name: {"parent": [], "change": []} for name in names}
+    outputs: dict[str, tuple[int, str]] = {}
+
+    def run(side: str) -> None:
+        for name in names:
+            if name == FALLBACK:
+                seconds, output = _fallback(sides[side])
+            else:
+                seconds, output = _call(sides[side], CALLS[name])
+            if outputs.setdefault(name, output) != output:
+                raise SystemExit(f"large: {side} gave another output or exit code for {name}")
+            values[name][side].append(seconds)
+
+    def show(pair: int, first: str) -> None:
+        row = "  ".join(f"{name} {values[name]['parent'][-1]:.3f}/{values[name]['change'][-1]:.3f}"
+                        for name in names)
+        print(f"pair {pair} ({first} first, parent/change s): {row}", flush=True)
+
+    first = alternate(args.pairs, run, show)
+
+    report = {}
+    for name in names:
+        par, chg = values[name]["parent"], values[name]["change"]
+        ps, cs = summary(par), summary(chg)
+        report[name] = {
+            "argv": list(CALLS[name]) if name in CALLS else None,
+            "unit": "s",
+            "parent": par,
+            "change": chg,
+            "parent_summary": ps,
+            "change_summary": cs,
+            "wins": sum(c < b for b, c in zip(par, chg)),
+            "exit_code": outputs[name][0],
+        }
+        print(
+            f"{name}: parent {ps['median']:.3f} [{ps['q1']:.3f}, {ps['q3']:.3f}]"
+            f"  change {cs['median']:.3f} [{cs['q1']:.3f}, {cs['q3']:.3f}] s"
+            f"  change wins {report[name]['wins']}/{args.pairs}"
+        )
+
+    record(
+        ROOT / "benchmarks" / "BENCH_large.json",
+        "fixed",
+        sides,
+        {"pairs": args.pairs, "first": first, "calls": report},
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,11 +16,15 @@ usage error (exit 64):
 `special` refuses the other family kind's input (--params for det1 or
 dim2, a matrix for sig1 or pz) as invalid input: exit 1.
 
-`verify` compares every point of the window together with the
+`verify` checks every point of the window together with the
 numerator's bounding box (the report's `safeBox`), so no window is too
-small; one whose oracle hull or comparison grid cannot be allocated is
-invalid input: exit 1 with one WindowTooLargeError line giving its point
-count and bytes.  A numerator too large to enumerate in memory is
+small.  It first certifies the form on all of Z^n (`oracle.certify`), and
+compares the window point by point only when the certificate refuses
+the form; --jobs is the thread count of that comparison's fill.  A
+window whose oracle hull, or hull and second pass buffer together, would
+take more than the oracle's budget of 2^31 bytes is invalid input,
+whatever the form: exit 1 with one WindowTooLargeError line giving its
+point count and bytes.  A numerator too large to enumerate in memory is
 invalid input too: exit 1 with one NumeratorTooLargeError line.
 `eval --epsilon` is the modulus below which a denominator factor counts
 as singular; one that is not finite or not > 0 would turn that guard off
@@ -98,7 +102,8 @@ def _build_parser() -> _Parser:
     )
     p_verify.add_argument(
         "--jobs", type=int, default=1,
-        help="threads for the oracle window fill (at least 1)",
+        help="threads for the oracle window fill, which runs only for a form "
+        "the certificate refuses (at least 1)",
     )
 
     p_special = add_format(add_matrix(

@@ -2,10 +2,11 @@
 
 A bounded monomial polyhedron in C^n is cut out by n Laurent-monomial
 inequalities |z^(b^j)| < 1 whose exponents form the rows of an integer
-matrix B.  This module owns everything matrix-shaped: determinants and
-adjugates in exact arbitrary-precision arithmetic, the normalization that
-makes det B > 0 with coprime rows, and the validation rule (adj B >= 0
-elementwise) deciding whether B defines a bounded domain at all.
+matrix B.  This module owns everything matrix-shaped: determinants,
+adjugates and the row Hermite normal form in exact arbitrary-precision
+arithmetic, the normalization that makes det B > 0 with coprime rows, and
+the validation rule (adj B >= 0 elementwise) deciding whether B defines a
+bounded domain at all.
 
 One fraction-free Gauss-Jordan elimination gives both det and adj of a
 matrix; `normalize` runs it once and carries adj B along, and `prepare`
@@ -171,6 +172,54 @@ def adjugate(m: IntMatrix) -> IntMatrix:
     return IntMatrix._from_rows(tuple(
         tuple((-1) ** (j + k) * determinant(minor(k, j)) for k in range(n)) for j in range(n)
     ))
+
+
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with s a + t b = g = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return (a, s0, t0) if a >= 0 else (-a, -s0, -t0)
+
+
+def hermite_rows(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Row-style Hermite normal form H of an integer matrix M with at least
+    as many rows as columns and full column rank (Cohen, *A Course in
+    Computational Algebraic Number Theory*, 2.4.2): H is n x n, upper
+    triangular with a positive diagonal, each entry above the diagonal
+    reduced to 0 <= h_ik < h_kk, and its rows span the same lattice as
+    M's rows.  For square M the diagonal's product is |det M|.
+
+    Column by column, unimodular 2 x 2 row steps [[s, t], [-b/g, a/g]]
+    (s a + t b = g = gcd(a, b)) move the gcd of the column's remaining
+    entries onto the diagonal and clear the entries below it; the rows
+    above are then reduced modulo the new pivot.  ValueError when a
+    column has no pivot (M is not of full column rank)."""
+    rows = [list(map(int, r)) for r in m]
+    n = len(rows[0]) if rows else 0
+    if len(rows) < n or any(len(r) != n for r in rows):
+        raise ValueError("hermite_rows needs an m x n matrix with m >= n")
+    for k in range(n):
+        pivot = rows[k]
+        for i in range(k + 1, len(rows)):
+            other = rows[i]
+            b = other[k]
+            if b:
+                g, s, t = _xgcd(pivot[k], b)
+                u, v = -b // g, pivot[k] // g
+                rows[i] = [u * x + v * y for x, y in zip(pivot, other)]
+                pivot = [s * x + t * y for x, y in zip(pivot, other)]
+        if pivot[k] == 0:
+            raise ValueError("hermite_rows needs a matrix of full column rank")
+        rows[k] = pivot = pivot if pivot[k] > 0 else [-x for x in pivot]
+        for i in range(k):
+            q = rows[i][k] // pivot[k]
+            if q:
+                rows[i] = [x - q * y for x, y in zip(rows[i], pivot)]
+    return tuple(tuple(r) for r in rows[:n])
 
 
 def row_gcd(v: Sequence[int]) -> int:

@@ -23,10 +23,35 @@ Every coefficient is a positive rational with denominator dividing det A;
 all comparisons against the closed form happen on the integer multiples
 det A * coefficient, so the whole pipeline is exact.
 
-The closed form is prefactor * N / prod_f f^2, so det A times the series,
-multiplied by every factor f twice, must equal det A * prefactor * N; with
+The certificate (`certify`) checks a form on all of Z^n at once.  Write
+x = m + 1 and d = det B, so y = x adj B and x = sum_j (y_j / d) b_j over
+the rows b_j of B: the admissible x are the lattice points of the open
+cone the rows span.  Each is uniquely x' + sum_j k_j b_j with every
+k_j >= 0 and x' in the half-open parallelepiped
+Pi = {x : 1 <= (x adj B)_j <= d}, which has d points; adding b_j adds
+d to y_j.  With lambda = y_j / d,
+
+    sum_{k>=0} (lambda + k) u^k = (lambda + (1 - lambda) u) / (1 - u)^2,
+
+summed over k_j with u = t^(b_j), d^(n-1) pi^n K is t^(-1) times
+sum_{x' in Pi} t^(x') prod_j (y_j + (d - y_j) t^(b_j)) / (1 - t^(b_j))^2.
+Since 1 - t^(b_j) = t^(-(b_-)^j) (t^((b_-)^j) - t^((b_+)^j)), K times the
+squared row binomials is pi^-n d^-(n-1) N with
+
+    N = sum_{x' in Pi} t^(x' + base) prod_j (y_j + (d - y_j) t^(b_j)),
+    base_i = 2 sum_j max(-b_ji, 0) - 1,
+
+a finite polynomial (Beck and Robins, *Computing the Continuous
+Discretely*, ch. 3).  A form whose factors are the row binomials, up to
+sign and order, is therefore right everywhere exactly when
+d^(n-1) * prefactor * numerator = N, term for term.
+
+The window comparison (`_compare_window`) runs only for a form that the
+certificate refuses, and checks it on a box.  The closed form is
+prefactor * num / prod_f f^2, so det A times the series, multiplied by
+every factor f twice, must equal det A * prefactor * num; with
 det A * prefactor = p/q in lowest terms, q times that product is compared
-with p * N.  The fill gives the exact coefficient at every point of any
+with p * num.  The fill gives the exact coefficient at every point of any
 box (0 where inadmissible), so the product is exact on a box as soon as
 the series is filled on that box widened by the squared denominator's
 exponent extents: the comparison never truncates, and every point of the
@@ -64,21 +89,29 @@ view of the last buffer.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import _backend
 from .errors import NonConvergentError, WindowTooLargeError
-from .int_linalg import ValidatedMatrix
+from .int_linalg import ValidatedMatrix, hermite_rows
 from .kernel import BergmanKernelForm, assemble_kernel, eval_kernel
+from .laurent import LaurentPolynomial
 
 # relative change between partial sums below which the spot check's series
 # counts as settled
 CAUCHY_TOL = 1e-9
+
+# bytes the window comparison may hold in its hull and second pass buffer;
+# a window over it is refused before anything is filled
+HULL_BUDGET_BYTES = 2**31
 
 
 @dataclass(frozen=True)
@@ -274,11 +307,173 @@ def _admissible_floor(adj_rows, lo, hi) -> tuple[int, ...]:
     return tuple(floor)
 
 
+def _parallelepiped(vm: ValidatedMatrix):
+    """y = x adj B for each of the det points x of the half-open
+    parallelepiped Pi = {x in Z^n : 1 <= (x adj B)_j <= det}, one point per
+    coset of Z^n / Z^n B.  With d the diagonal of the Hermite normal form
+    of B's rows, the r with 0 <= r_i < d_i represent the cosets, and the
+    point of r's coset has y = ((r adj B - 1) mod det) + 1."""
+    det = vm.det
+    cols = tuple(zip(*vm.adj.rows))
+    h = hermite_rows(vm.matrix.rows)
+    for r in itertools.product(*(range(h[i][i]) for i in range(vm.n))):
+        yield tuple((sum(map(operator.mul, r, col)) - 1) % det + 1 for col in cols)
+
+
+def cone_numerator(vm: ValidatedMatrix) -> dict[tuple[int, ...], int]:
+    """The term map of N = sum over x in Pi of
+    t^(x + base) prod_j (y_j + (det - y_j) t^(b_j)), y = x adj B and
+    base_i = 2 sum_j max(-b_ji, 0) - 1: the series times the squared row
+    binomials, times pi^n det^(n-1) (see the module docstring).  Its
+    coefficients are positive."""
+    det, rows = vm.det, vm.matrix.rows
+    cols = list(zip(*rows))
+    base = [2 * sum(max(-x, 0) for x in col) - 1 for col in cols]
+    out: dict[tuple[int, ...], int] = {}
+    for y in _parallelepiped(vm):
+        # x = y B / det, exact
+        x = tuple(sum(map(operator.mul, y, col)) // det + b for col, b in zip(cols, base))
+        terms = [(x, 1)]
+        for yj, row in zip(y, rows):
+            grown = [(e, c * yj) for e, c in terms]
+            if yj < det:
+                grown += [(tuple(map(operator.add, e, row)), c * (det - yj)) for e, c in terms]
+            terms = grown
+        for e, c in terms:
+            out[e] = out.get(e, 0) + c
+    return out
+
+
+def certify(
+    vm: ValidatedMatrix, form: BergmanKernelForm
+) -> tuple[int, ...] | LaurentPolynomial | None:
+    """None when the form equals the series on all of Z^n.  Otherwise the
+    first factor of the form that is not one of B's row binomials
+    t^((b_-)^j) - t^((b_+)^j) (up to sign and order), or the first row
+    binomial no factor matches, or the least exponent, in lexicographic
+    order, where det^(n-1) * prefactor * numerator and N =
+    `cone_numerator(vm)` differ; with det^(n-1) * prefactor = p/q, the
+    comparison is p * numerator against q * N, in integers.
+
+    It reads only B, det B and adj B.  N costs at most det * 2^n dict
+    terms, the same order as the numerator that `assemble_kernel` has
+    already built for the form, so the certificate has no budget or
+    fallback of its own."""
+    # +-(t^a - t^b) is known by {a, b}; a normalized row is nonzero, so
+    # its two exponents differ
+    rows = [(tuple(max(-x, 0) for x in r), tuple(max(x, 0) for x in r)) for r in vm.matrix.rows]
+    unmatched = Counter(frozenset(ab) for ab in rows)
+    for f in form.factors:
+        unit = sorted(c for _, c in f.items()) == [-1, 1]
+        key = frozenset(e for e, _ in f.items()) if unit else None
+        if not unmatched[key]:
+            return f
+        unmatched[key] -= 1
+    for a, b in rows:
+        if unmatched[frozenset((a, b))]:
+            return LaurentPolynomial(vm.n, {a: 1, b: -1})
+
+    ratio = vm.det ** (vm.n - 1) * form.prefactor
+    p, q = ratio.numerator, ratio.denominator
+    cone = cone_numerator(vm)
+    num = form.numerator
+    if len(num) == len(cone) and all(p * c == q * cone.get(e, 0) for e, c in num.items()):
+        return None
+    differ = [e for e, c in num.items() if p * c != q * cone.get(e, 0)]
+    differ += [e for e in cone if num.coefficient(e) == 0]
+    return min(differ)
+
+
+class _Plan(NamedTuple):
+    """The window comparison's sizes and cut, known before any fill."""
+
+    p: int
+    q: int
+    factors: list
+    lo: tuple[int, ...]
+    hi: tuple[int, ...]
+    elo: tuple[int, ...]
+    fill_lo: tuple[int, ...]
+    hull_hi: tuple[int, ...]
+    adj_rows: list
+    dtype: type
+
+
+def _plan(vm: ValidatedMatrix, window: Window, form: BergmanKernelForm) -> _Plan:
+    """The compared box lo..hi, the admissible cut elo, the filled hull
+    fill_lo..hull_hi and the accumulator's dtype of the window comparison
+    (see `_compare_window`).  WindowTooLargeError when the filled hull
+    (points times the fill dtype's itemsize) has more than
+    HULL_BUDGET_BYTES, naming the hull, or when the hull and the second
+    pass buffer together do, naming the comparison grid: the two stages
+    at which their allocation could fail."""
+    n = vm.n
+    ratio = vm.det ** (n - 1) * form.prefactor
+    factors = [_binomial(f) for f in form.factors]
+    dmin = [2 * sum(x) for x in zip(*(f[0] for f in factors))]
+    dmax = [2 * sum(x) for x in zip(*(f[1] for f in factors))]
+    num = form.numerator
+    lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
+    hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
+
+    hull_lo = tuple(l - d for l, d in zip(lo, dmax))
+    hull_hi = tuple(h - d for h, d in zip(hi, dmin))
+    adj_rows = [list(r) for r in vm.adj.rows]
+    qlo = _admissible_floor(adj_rows, hull_lo, hull_hi)
+    # at most hi + 1, where the cut box is empty
+    elo = tuple(min(max(l, a + d), h + 1) for l, a, d, h in zip(lo, qlo, dmin, hi))
+    fill_lo = tuple(e - d for e, d in zip(elo, dmax))
+
+    bound = _backend.product_bound(adj_rows, fill_lo, hull_hi)
+    dtype = _accumulator_dtype(bound, len(factors))
+    hull_points = math.prod(max(h - l + 1, 0) for l, h in zip(fill_lo, hull_hi))
+    hull_bytes = hull_points * np.dtype(_backend.fill_dtype(bound)).itemsize
+    if hull_bytes > HULL_BUDGET_BYTES:
+        raise WindowTooLargeError(
+            f"the oracle hull {fill_lo}..{hull_hi} has {hull_points} points and needs "
+            f"{hull_bytes} bytes, more than the oracle's budget of {HULL_BUDGET_BYTES} bytes"
+        )
+    points = math.prod(h - e + 1 for e, h in zip(elo, hi))
+    spare_bytes = hull_points * np.dtype(dtype).itemsize
+    if points and hull_bytes + spare_bytes > HULL_BUDGET_BYTES:
+        raise WindowTooLargeError(
+            f"the oracle comparison grid {elo}..{hi} has {points} points; "
+            f"multiplying the hull by the denominator needs {spare_bytes} bytes beside "
+            f"the hull's {hull_bytes} bytes, more than the oracle's budget of {HULL_BUDGET_BYTES} bytes"
+        )
+    return _Plan(
+        ratio.numerator, ratio.denominator, factors, lo, hi, elo, fill_lo, hull_hi, adj_rows, dtype
+    )
+
+
 def compare_with_closed_form(
     vm: ValidatedMatrix,
     window: Window,
     form: BergmanKernelForm | None = None,
     jobs: int = 1,
+) -> OracleReport:
+    """Compare the closed form with the series at every point of the
+    compared box, the window together with the numerator's bounding box,
+    and report the mismatches there (see `_compare_window`).
+
+    The window's sizes are checked first (`_plan`), so a window whose
+    comparison would exceed HULL_BUDGET_BYTES is refused with
+    WindowTooLargeError whatever the form.  Then `certify` checks the form
+    on all of Z^n: when it holds, every point of the box matches, and the
+    report is the one the window comparison gives a correct form, with no
+    mismatches and the same box.  Only a form the certificate refuses is
+    compared on the window, which gives its mismatches; `jobs` is the
+    thread count of that comparison's fill."""
+    if form is None:
+        form = assemble_kernel(vm)
+    plan = _plan(vm, window, form)
+    if certify(vm, form) is None:
+        return OracleReport((), plan.lo, plan.hi)
+    return _compare_window(vm, window, form, jobs)
+
+
+def _compare_window(
+    vm: ValidatedMatrix, window: Window, form: BergmanKernelForm, jobs: int = 1
 ) -> OracleReport:
     """Multiply the oracle series by the squared denominator and compare it
     with the closed-form numerator, exactly, zeros included, at every point
@@ -316,33 +511,17 @@ def compare_with_closed_form(
     The bound covers the margins too: each margin entry is the same
     difference of two entries of the previous buffer as a valid entry.
     On the object path, a pass reads only entries an earlier pass or the
-    fill has written.  When the second buffer cannot be allocated,
-    WindowTooLargeError names the comparison grid.
+    fill has written.  `_plan` refuses a hull or a second buffer over
+    HULL_BUDGET_BYTES before the fill; when the second buffer still cannot
+    be allocated, WindowTooLargeError names the comparison grid.
     """
-    if form is None:
-        form = assemble_kernel(vm)
+    p, q, factors, lo, hi, elo, fill_lo, hull_hi, adj_rows, dtype = _plan(vm, window, form)
     n = vm.n
     det_adj = vm.det ** (n - 1)
-    ratio = det_adj * form.prefactor
-    p, q = ratio.numerator, ratio.denominator
-    factors = [_binomial(f) for f in form.factors]
-    dmin = [2 * sum(x) for x in zip(*(f[0] for f in factors))]
-    dmax = [2 * sum(x) for x in zip(*(f[1] for f in factors))]
     num = form.numerator
-    lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
-    hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
-
-    hull_lo = tuple(l - d for l, d in zip(lo, dmax))
-    hull_hi = tuple(h - d for h, d in zip(hi, dmin))
-    adj_rows = [list(r) for r in vm.adj.rows]
-    qlo = _admissible_floor(adj_rows, hull_lo, hull_hi)
-    # at most hi + 1, where the cut box is empty
-    elo = tuple(min(max(l, a + d), h + 1) for l, a, d, h in zip(lo, qlo, dmin, hi))
-    fill_lo = tuple(e - d for e, d in zip(elo, dmax))
     shape = tuple(h - e + 1 for e, h in zip(elo, hi))
     points = math.prod(shape)
     acc = _backend.fill_products(adj_rows, fill_lo, hull_hi, jobs=jobs)
-    dtype = _accumulator_dtype(_backend.product_bound(adj_rows, fill_lo, hull_hi), len(factors))
     terms, below = [], []
     for e, c in num.items():
         (terms if all(x >= l for x, l in zip(e, elo)) else below).append((e, c))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bergpoly
-from bergpoly import cli
+from bergpoly import _backend, cli, oracle
 from bergpoly.oracle import OracleReport
 
 from families import subsample, valid_family
@@ -260,10 +260,11 @@ class TestVerify:
 
     def test_oversized_window_is_input_error(self):
         # Under a 3 GB address space limit, the 5x5 hull at radius 40 (about
-        # 40 GB) cannot be allocated; at radius 19 the hull (1.5 GB) is
-        # filled but the comparison's second hull-sized buffer cannot be.
-        # Either must end in one typed line.  One OpenBLAS thread keeps the
-        # address space its thread pool takes out of the result.
+        # 40 GB) cannot be allocated; at radius 19 the hull (1.5 GB) fits
+        # but the comparison's second hull-sized buffer does not.  Both are
+        # refused by the oracle's byte budget before anything is filled,
+        # each with one typed line.  One OpenBLAS thread keeps the address
+        # space its thread pool takes out of the result.
         matrix = "2 -1 0 0 0 / 0 2 -1 0 0 / 0 0 2 -1 0 / 0 0 0 2 -1 / -1 0 0 0 2"
         for window, stage in (("40", "the oracle hull"), ("19", "the oracle comparison grid")):
             proc = run_limited(3 * 10**9, "verify", "--matrix", matrix, "--window", window,
@@ -274,6 +275,29 @@ class TestVerify:
             assert len(lines) == 1
             assert lines[0].startswith("WindowTooLargeError: " + stage)
             assert "Traceback" not in proc.stderr
+
+    def test_budget_refuses_before_any_fill(self, capsys, monkeypatch):
+        # the oracle's byte budget is checked before the window is filled, so
+        # the refusal does not depend on the host's memory; a correct form
+        # within the budget is certified without a fill
+        def no_fill(*args, **kwargs):
+            raise AssertionError("the window was filled")
+
+        monkeypatch.setattr(_backend, "fill_products", no_fill)
+        cyclic5 = "2 -1 0 0 0 / 0 2 -1 0 0 / 0 0 2 -1 0 / 0 0 0 2 -1 / -1 0 0 0 2"
+        for matrix, window, stage in (
+            (cyclic5, "19", "the oracle comparison grid"),
+            (cyclic5, "40", "the oracle hull"),
+            ("1 0 / 0 1", "3000000000", "the oracle hull"),
+        ):
+            code, out, err = run(capsys, "verify", "--matrix", matrix, "--window", window)
+            assert code == 1 and out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1
+            assert lines[0].startswith("WindowTooLargeError: " + stage)
+            assert lines[0].endswith(f"budget of {oracle.HULL_BUDGET_BYTES} bytes")
+        code, out, _ = run(capsys, "verify", "--matrix", cyclic5)
+        assert code == 0 and json.loads(out)["checked"] == 25**5
 
     def test_canonicity_exit_code(self, capsys, monkeypatch):
         from bergpoly.errors import CanonicityViolationError

@@ -1,3 +1,6 @@
+import itertools
+import math
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,8 @@ from bergpoly import (
     prepare,
     row_gcd,
 )
+
+from bergpoly.int_linalg import hermite_rows
 
 from families import normalized_family
 
@@ -282,3 +287,75 @@ class TestParsing:
     def test_rejects_1x1(self):
         with pytest.raises(ValueError):
             IntMatrix(((5,),))
+
+
+def _det(rows) -> int:
+    return rows[0][0] if len(rows) == 1 else determinant(IntMatrix(rows))
+
+
+def _coordinates(h, v) -> list[int] | None:
+    """Integer c with v = c H, for upper triangular H with a nonzero
+    diagonal, or None when v is not in the lattice of H's rows."""
+    v = list(v)
+    c = []
+    for k, row in enumerate(h):
+        q, r = divmod(v[k], row[k])
+        if r:
+            return None
+        c.append(q)
+        v = [x - q * y for x, y in zip(v, row)]
+    return c if not any(v) else None
+
+
+@st.composite
+def full_rank_inputs(draw):
+    """An m x n integer matrix, n = 1..8, square or with one or two extra
+    rows, with entries small or up to 2^70, and its lattice's covolume:
+    |det M| or the gcd of its n x n minors."""
+    n = draw(st.integers(1, 8))
+    m = n + draw(st.sampled_from((0, 0, 1, 2)))
+    entry = st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70))
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    covolume = math.gcd(*(_det([rows[i] for i in pick])
+                          for pick in itertools.combinations(range(m), n)))
+    assume(covolume)
+    return rows, covolume
+
+
+class TestHermiteRows:
+    @settings(max_examples=60, deadline=None)
+    @given(full_rank_inputs())
+    def test_same_lattice_triangular_positive_diagonal(self, case):
+        rows, covolume = case
+        h = hermite_rows(rows)
+        n = len(rows[0])
+        assert len(h) == n and all(len(r) == n for r in h)
+        for i, r in enumerate(h):
+            assert r[i] > 0
+            assert all(x == 0 for x in r[:i])
+            # the entries above each pivot are reduced modulo it
+            assert all(0 <= h[k][i] < r[i] for k in range(i))
+        # M = V H with V integral: every row of M is in the lattice of H
+        assert all(_coordinates(h, r) is not None for r in rows)
+        # H = U M with U integral.  For square M, U = H adj(M) / det M; in
+        # general the lattice of H contains that of M and has the same
+        # covolume (the gcd of M's maximal minors), so the two are equal
+        assert math.prod(h[i][i] for i in range(n)) == covolume
+        if len(rows) == n and n > 1:
+            adj = adjugate(IntMatrix(rows))
+            det = determinant(IntMatrix(rows))
+            assert abs(det) == covolume
+            u = IntMatrix(h) @ adj
+            assert all(x % det == 0 for r in u.rows for x in r)
+
+    def test_examples(self):
+        assert hermite_rows([[2, -1, 0], [0, 2, -1], [-1, 0, 2]]) == (
+            (1, 0, 5), (0, 1, 3), (0, 0, 7))
+        assert hermite_rows([[0, 1], [1, 0]]) == ((1, 0), (0, 1))
+        assert hermite_rows([[4, 6], [6, 9], [2, 2]]) == ((2, 0), (0, 1))
+        assert hermite_rows([[-5]]) == ((5,),)
+
+    @pytest.mark.parametrize("rows", [[[1, 2], [2, 4]], [[1, 2, 3]], [[0, 0], [0, 0], [0, 1]]])
+    def test_refuses_deficient_rank_or_too_few_rows(self, rows):
+        with pytest.raises(ValueError):
+            hermite_rows(rows)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -25,10 +26,18 @@ from bergpoly import (
 from bergpoly import _backend, oracle
 from bergpoly.kernel import BergmanKernelForm
 from bergpoly.laurent import LaurentPolynomial
-from bergpoly.special import SignatureOneSpec, kernel_signature_one, signature_matrix
+from bergpoly.special import (
+    SignatureOneSpec,
+    kernel_dim2,
+    kernel_generalized_hartogs,
+    kernel_signature_one,
+    kernel_unimodular,
+    signature_matrix,
+)
 
 import families
 from _reference import compare_uncut
+from families import chain_specs, signature_specs, subsample, unimodular_family, valid_family
 from conftest import sample_interior_point
 
 
@@ -257,8 +266,9 @@ class TestCompare:
 
     def test_jobs_deterministic(self, worked_vm):
         w = Window.of((-2, -2), (12, 12))
-        a = compare_with_closed_form(worked_vm, w, jobs=1)
-        b = compare_with_closed_form(worked_vm, w, jobs=3)
+        form = assemble_kernel(worked_vm)
+        a = oracle._compare_window(worked_vm, w, form=form, jobs=1)
+        b = oracle._compare_window(worked_vm, w, form=form, jobs=3)
         assert (a.checked, a.matched, a.mismatches) == (
             b.checked,
             b.matched,
@@ -356,9 +366,9 @@ def _assert_equals_uncut(vm, window, form, force_object):
     want = compare_uncut(vm, window, form=form)
     if force_object:
         with mock.patch.object(oracle, "_accumulator_dtype", lambda *_: object):
-            got = compare_with_closed_form(vm, window, form=form)
+            got = oracle._compare_window(vm, window, form=form)
     else:
-        got = compare_with_closed_form(vm, window, form=form)
+        got = oracle._compare_window(vm, window, form=form)
     assert got == want
 
 
@@ -398,9 +408,9 @@ class TestAdmissibleCut:
 
         want = compare_uncut(vm, window, form=form)
         with mock.patch.object(oracle, "_multiply", recording):
-            got = compare_with_closed_form(vm, window, form=form)
+            got = oracle._compare_window(vm, window, form=form)
             with mock.patch.object(oracle, "_accumulator_dtype", lambda *_: object):
-                assert compare_with_closed_form(vm, window, form=form) == want
+                assert oracle._compare_window(vm, window, form=form) == want
         assert got == want
         assert [e for e, _, _ in got.mismatches] == [(2, 3, 1, 4, 0, 2)]
         assert lengths[0] == 11**6 and min(lengths) < lengths[0]
@@ -418,7 +428,7 @@ class TestAdmissibleCut:
             return fill(adj, lo, hi, jobs=jobs)
 
         with mock.patch.object(_backend, "fill_products", recording):
-            got = compare_with_closed_form(worked_vm, window, form=form)
+            got = oracle._compare_window(worked_vm, window, form=form)
             want = compare_uncut(worked_vm, window, form=form)
         assert got == want
         (cut_lo, cut_hi), (hull_lo, hull_hi) = fills
@@ -448,13 +458,145 @@ class TestAdmissibleCut:
 def test_oracle_sweep_beyond_n3(n, count, radius):
     for vm in families.valid_family(n, count):
         form = assemble_kernel(vm)
-        rep = compare_with_closed_form(vm, Window.cube(n, radius), form=form)
+        rep = oracle._compare_window(vm, Window.cube(n, radius), form=form)
         assert rep.ok
         assert rep.safe_lower == tuple(min(-radius, e) for e in form.numerator.min_exponents())
         assert rep.safe_upper == tuple(max(radius, e) for e in form.numerator.max_exponents())
         assert rep.checked == rep.matched == math.prod(
             h - l + 1 for l, h in zip(rep.safe_lower, rep.safe_upper)
         )
+
+
+def _cyclic(n, a, b):
+    """The n x n cyclic matrix with a on the diagonal and b right of it."""
+    return prepare(IntMatrix(tuple(
+        tuple(a if j == i else b if j == (i + 1) % n else 0 for j in range(n)) for i in range(n)
+    )))
+
+
+def cone_reference(vm, closed=False, base_shift=0, drop_empty=False):
+    """N straight from its definition: Pi by scanning the box of x that
+    holds x = sum_j lambda_j b_j for lambda in [0, 1]^n, not by cosets.
+    The flags make the mutants: Pi with closed ends (0 <= y_j <= det),
+    base off by one in its first coordinate, and the empty subset's term
+    t^(x + base) prod_j y_j dropped from every point."""
+    n, det, rows = vm.n, vm.det, vm.matrix.rows
+    cols = list(zip(*rows))
+    base = [2 * sum(max(-x, 0) for x in col) - 1 + (base_shift if i == 0 else 0)
+            for i, col in enumerate(cols)]
+    ranges = [range(sum(min(x, 0) for x in col), sum(max(x, 0) for x in col) + 1)
+              for col in cols]
+    out = {}
+    for x in itertools.product(*ranges):
+        y = [sum(xi * vm.adj.entry(i, j) for i, xi in enumerate(x)) for j in range(n)]
+        if not all((0 if closed else 1) <= v <= det for v in y):
+            continue
+        for subset in itertools.product((0, 1), repeat=n):
+            if drop_empty and not any(subset):
+                continue
+            c = math.prod(det - v if s else v for v, s in zip(y, subset))
+            if c:
+                e = tuple(x[i] + base[i] + sum(s * r[i] for s, r in zip(subset, rows))
+                          for i in range(n))
+                out[e] = out.get(e, 0) + c
+    return out
+
+
+class TestCertificate:
+    """`certify`: the form against the lattice-cone numerator N on all of Z^n."""
+
+    def test_parallelepiped_has_det_points(self, family_2x2, family_3x3):
+        mats = family_2x2 + subsample(family_3x3, 150)
+        mats += [vm for n in range(4, 9) for vm in valid_family(n, 4)] + [_cyclic(5, 2, -1)]
+        for vm in mats:
+            ys = list(oracle._parallelepiped(vm))
+            assert len(ys) == len(set(ys)) == vm.det
+            for y in ys:
+                assert all(1 <= v <= vm.det for v in y)
+                # x = y B / det is a lattice point
+                assert all(sum(v * r[i] for v, r in zip(y, vm.matrix.rows)) % vm.det == 0
+                           for i in range(vm.n))
+
+    def test_cone_numerator_equals_its_definition(self, family_2x2, family_3x3):
+        for vm in family_2x2 + subsample(family_3x3, 150) + valid_family(4, 6):
+            assert oracle.cone_numerator(vm) == cone_reference(vm), vm.matrix.rows
+
+    def test_accepts_assembled_forms(self, family_2x2, family_3x3):
+        mats = family_2x2 + subsample(family_3x3, 300)
+        mats += [vm for n in (4, 5, 6) for vm in valid_family(n, 20)]
+        mats += [vm for n in (8, 12, 16) for vm in unimodular_family(n, 2, seed=n)]
+        mats += [_cyclic(n, 2, -1) for n in (5, 6, 7, 8)]
+        mats += [_cyclic(4, 4, -3), _cyclic(3, 40, -39)]
+        for vm in mats:
+            assert oracle.certify(vm, assemble_kernel(vm)) is None, vm.matrix.rows
+
+    def test_accepts_special_witnesses(self, family_2x2):
+        forms = [kernel_dim2(vm) for vm in family_2x2]
+        forms += [kernel_unimodular(vm) for n in (2, 3, 4, 5) for vm in unimodular_family(n, 10)]
+        forms += [kernel_signature_one(spec) for spec in subsample(signature_specs(), 300)]
+        forms += [kernel_generalized_hartogs(spec) for spec in chain_specs()]
+        for form in forms:
+            # the witnesses' own prefactors, and their content folded in
+            assert oracle.certify(form.source, form) is None, form.source.matrix.rows
+            assert oracle.certify(form.source, form.canonicalized()) is None
+
+    def test_refuses_a_changed_coefficient(self, family_2x2, family_3x3):
+        for vm in subsample(family_2x2, 20) + subsample(family_3x3, 40) + valid_family(5, 4):
+            form = assemble_kernel(vm)
+            e, c = max(form.numerator.items(), key=lambda item: (item[1], item[0]))
+            assert oracle.certify(vm, _with_term(form, e, c + 1)) == e
+            assert oracle.certify(vm, _with_term(form, e, 0)) == e
+
+    def test_refuses_a_term_outside_the_numerator_box(self, worked_vm, hartogs_vm):
+        for vm in (worked_vm, hartogs_vm, _cyclic(3, 2, -1)):
+            form = assemble_kernel(vm)
+            box = form.box
+            above = (box.upper[0] + 1,) + box.upper[1:]
+            below = (box.lower[0] - 3,) + box.lower[1:]
+            assert oracle.certify(vm, _with_term(form, above, 1)) == above
+            assert oracle.certify(vm, _with_term(form, below, -2)) == below
+
+    def test_refuses_a_doubled_prefactor(self, family_2x2):
+        for vm in family_2x2:
+            form = assemble_kernel(vm)
+            doubled = dataclasses.replace(form, prefactor=2 * form.prefactor)
+            assert oracle.certify(vm, doubled) == min(e for e, _ in form.numerator.items())
+
+    def test_factors_are_the_rows_up_to_sign_and_order(self, worked_vm):
+        form = assemble_kernel(worked_vm)
+        f0, f1 = form.factors
+        for factors in ((f1, f0), (-f0, f1), (f1, -f0)):
+            assert oracle.certify(worked_vm, dataclasses.replace(form, factors=factors)) is None
+        # t^(0,1) - t^(2,0) replaced by t^(0,1) - t^(3,0), a row twice, a row left out
+        wrong = LaurentPolynomial(2, {(0, 1): 1, (3, 0): -1})
+        for factors, want in (((wrong, f1), wrong), ((f0, -f0), -f0), ((f0,), f1)):
+            got = oracle.certify(worked_vm, dataclasses.replace(form, factors=factors))
+            assert got == want
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [{"closed": True}, {"base_shift": 1}, {"base_shift": -1}, {"drop_empty": True}],
+        ids=["closed-ends", "base+1", "base-1", "dropped-subset-term"],
+    )
+    def test_mutants_of_the_cone_numerator_fail(self, mutant, hartogs_vm, worked_vm):
+        mats = [hartogs_vm, worked_vm, _cyclic(3, 2, -1), *valid_family(4, 3)]
+        with mock.patch.object(oracle, "cone_numerator", lambda vm: cone_reference(vm, **mutant)):
+            for vm in mats:
+                assert oracle.certify(vm, assemble_kernel(vm)) is not None, vm.matrix.rows
+
+    def test_sweep_agrees_with_the_window(self, sweep_family):
+        for vm in sweep_family:
+            form = assemble_kernel(vm)
+            assert oracle.certify(vm, form) is None
+            assert oracle._compare_window(vm, Window.cube(vm.n, 1), form=form).ok
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_certifies_exactly_what_the_window_accepts(self, data, family_2x2, family_3x3):
+        # every corruption cut_cases draws lies in the compared box, so the
+        # window finds it; a correct form passes both
+        vm, window, form, _ = data.draw(cut_cases((family_2x2, family_3x3)))
+        assert (oracle.certify(vm, form) is None) == oracle._compare_window(vm, window, form).ok
 
 
 class TestNumericSpotCheck:
