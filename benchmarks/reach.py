@@ -2,8 +2,7 @@
 
     python3 benchmarks/reach.py --seeds 1 2
 
-Runs, under a trace hook (sys.settrace, and threading.settrace for the
-fill's worker threads), every CLI call that
+Runs, under a trace hook (sys.settrace), every CLI call that
 benchmarks/output_digest.py builds for the given seeds, then one round of
 each perfbench workload at the first seed through workloads.run_op, in
 process on the bergpoly in this checkout's `src/`.
@@ -33,7 +32,6 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
-import threading
 from collections import defaultdict
 from pathlib import Path
 
@@ -127,7 +125,6 @@ def main(argv=None) -> int:
 
         return local
 
-    threading.settrace(trace)
     sys.settrace(trace)
     try:
         import output_digest
@@ -142,7 +139,6 @@ def main(argv=None) -> int:
             workloads.run_op(op)
     finally:
         sys.settrace(None)
-        threading.settrace(None)
 
     missed = sorted((key, functions[key]) for key in functions.keys() - entered)
     print(f"CLI calls {len(calls)} (seeds {' '.join(map(str, args.seeds))}), "

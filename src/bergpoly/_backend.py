@@ -12,16 +12,13 @@ each column j, y_j is the 1-D first-axis column (m_0 + 1) adj_0j plus a
 flat "plane" holding the other axes' terms, so every slab-sized pass is
 one broadcast add over contiguous rows.  The n planes take
 n * prod(shape[1:]) points beside the output.  The box is filled in slabs
-of max(1, SLAB_POINTS // inner) rows, which bounds the temporaries; with
-jobs > 1 the same slabs run on a thread pool of at most
-min(jobs, slabs, cpus) threads.
+of max(1, SLAB_POINTS // inner) rows, one after another, which bounds the
+temporaries.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -50,7 +47,7 @@ def fill_dtype(bound: int) -> type:
     return object if bound >= _INT64_SAFE else np.int64
 
 
-def fill_products(adj_rows, lo, hi, jobs: int = 1) -> np.ndarray:
+def fill_products(adj_rows, lo, hi) -> np.ndarray:
     """Dense C-order array over the box lo..hi of prod_j ((m+1) @ adj)_j,
     with 0 marking inadmissible exponents.  dtype is int64 when the exact
     bound allows, object otherwise.  Beside the output, the column planes
@@ -89,7 +86,7 @@ def fill_products(adj_rows, lo, hi, jobs: int = 1) -> np.ndarray:
     grid = out.reshape(shape[0], inner)
     rows = max(1, SLAB_POINTS // inner)
 
-    def fill_slab(a: int) -> None:
+    for a in range(0, shape[0], rows):
         b = a + rows
         block = grid[a:b]
         # column 0 is clamped straight into the slab, every later one into
@@ -101,13 +98,4 @@ def fill_products(adj_rows, lo, hi, jobs: int = 1) -> np.ndarray:
             np.maximum(dest, 0, out=dest)
             if j:
                 block *= dest
-
-    starts = range(0, shape[0], rows)
-    workers = min(jobs, len(starts), os.cpu_count() or 1) if jobs > 1 else 1
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill_slab, starts))
-    else:
-        for a in starts:
-            fill_slab(a)
     return out

@@ -20,12 +20,13 @@ dim2, a matrix for sig1 or pz) as invalid input: exit 1.
 numerator's bounding box (the report's `safeBox`), so no window is too
 small.  It first certifies the form on all of Z^n (`oracle.certify`), and
 compares the window point by point only when the certificate refuses
-the form; --jobs is the thread count of that comparison's fill.  A
-window whose oracle hull, or hull and second pass buffer together, would
-take more than the oracle's budget of 2^31 bytes is invalid input,
-whatever the form: exit 1 with one WindowTooLargeError line giving its
-point count and bytes.  A numerator too large to enumerate in memory is
-invalid input too: exit 1 with one NumeratorTooLargeError line.
+the form.  That comparison fills the window in one thread; --jobs N is
+accepted for N >= 1 and changes nothing.  A window whose oracle hull,
+or hull and second pass buffer together, would take more than the
+oracle's budget of 2^31 bytes is invalid input, whatever the form: exit
+1 with one WindowTooLargeError line giving its point count and bytes.
+A numerator too large to enumerate in memory is invalid input too: exit
+1 with one NumeratorTooLargeError line.
 `eval --epsilon` is the modulus below which a denominator factor counts
 as singular; one that is not finite or not > 0 would turn that guard off
 and is invalid input (exit 1).  A --matrix-file that cannot be read, a
@@ -102,8 +103,8 @@ def _build_parser() -> _Parser:
     )
     p_verify.add_argument(
         "--jobs", type=int, default=1,
-        help="threads for the oracle window fill, which runs only for a form "
-        "the certificate refuses (at least 1)",
+        help="accepted for compatibility (at least 1); the oracle window "
+        "fill runs in one thread",
     )
 
     p_special = add_format(add_matrix(
@@ -208,7 +209,7 @@ def _run(args) -> int:
         form = assemble_kernel(vm)
         radius = args.window if args.window is not None else _default_radius(vm)
         window = Window.cube(vm.n, radius)
-        report = compare_with_closed_form(vm, window, form=form, jobs=args.jobs)
+        report = compare_with_closed_form(vm, window, form=form)
         sys.stdout.write(render.dumps(render.report_to_json_dict(report)))
         if not report.ok:
             print(f"{len(report.mismatches)} mismatches", file=sys.stderr)

@@ -57,15 +57,6 @@ the series is filled on that box widened by the squared denominator's
 exponent extents: the comparison never truncates, and every point of the
 window is checked.
 
-A valid domain has adj B >= 0, so the admissible exponents form an
-up-set: raising any coordinate of an admissible m keeps every y_j >= 1.
-On a box with upper corner hi, an admissible m therefore has
-m_i >= qlo_i, the least m_i that y_j >= 1 allows when every other
-coordinate sits at hi, for any column j with adj_ij > 0.  The series
-vanishes below qlo on the box, so the product with the denominator
-vanishes below qlo + (the denominator's least exponents), and the
-comparison fills and multiplies only the part of the box above that cut.
-
 Every factor of a kernel form is a binomial t^a - t^b, up to sign, and
 its square does not see the sign, so a pass by a factor is one
 subtraction.  The passes run on flat memory.  The filled series and one
@@ -79,12 +70,8 @@ is valid, and each pass raises vlo by the factor's extent amax - amin.
 A valid entry reads, for each term, the entry whose coordinates are its
 own minus a - amin (or b - amin); those lie in the previous valid box,
 so no carry across rows occurs.  The other entries the slices cover are
-margin values: computed, but never read by a valid entry.  When the
-margins would outweigh the valid box (2 * valid points < the entries the
-pass computes), the valid box is first copied into the other buffer as a
-contiguous array, so a hull much larger than the compared box does not
-make every pass pay for its whole size.  The compared box is read as a
-view of the last buffer.
+margin values: computed, but never read by a valid entry.  The compared
+box is read as a view of the last buffer.
 """
 
 from __future__ import annotations
@@ -185,11 +172,11 @@ class OracleSeries:
         return dict(self.items())
 
 
-def oracle_series(vm: ValidatedMatrix, window: Window, jobs: int = 1) -> OracleSeries:
+def oracle_series(vm: ValidatedMatrix, window: Window) -> OracleSeries:
     """Exact kernel coefficients on the window, straight from the norm
     formula (never from the closed form being tested)."""
     adj_rows = [list(r) for r in vm.adj.rows]
-    scaled = _backend.fill_products(adj_rows, window.lower, window.upper, jobs=jobs)
+    scaled = _backend.fill_products(adj_rows, window.lower, window.upper)
     return OracleSeries(vm, window, scaled)
 
 
@@ -249,36 +236,18 @@ def _passes(hull: np.ndarray, spare: np.ndarray, factors) -> np.ndarray:
     product's valid box; hull and spare are C-contiguous buffers of
     hull.size entries (see the module docstring for the layout).
 
-    A buffer holds dims-shaped data in its first prod(dims) entries, valid
-    on vlo..dims - 1.  A pass writes the other buffer from begin, the flat
-    index of vlo + amax - amin, and it reads at the flat offsets of a and
-    b, the factor's exponents relative to amin.  When 2 * valid points <
-    prod(dims) - begin, the valid box is first copied into the other
-    buffer as a dims - vlo array."""
+    Both buffers hold hull-shaped data, valid on vlo..hull.shape - 1.  A
+    pass writes the other buffer from begin, the flat index of
+    vlo + amax - amin, and it reads at the flat offsets of a and b, the
+    factor's exponents relative to amin."""
     bufs = [hull.reshape(-1), spare]
-    dims, vlo = list(hull.shape), [0] * hull.ndim
-
-    def valid_box() -> np.ndarray:
-        box = bufs[0][: math.prod(dims)].reshape(dims)
-        return box[tuple(slice(v, None) for v in vlo)]
-
+    dims, vlo = hull.shape, [0] * hull.ndim
     for amin, amax, a, b in factors:
         for _ in range(2):
-            nlo = [v + h - l for v, l, h in zip(vlo, amin, amax)]
-            valid = math.prod(d - v for d, v in zip(dims, nlo))
-            if 2 * valid < math.prod(dims) - _flat(nlo, dims):
-                box = valid_box()
-                dims = list(box.shape)
-                bufs[1][: box.size].reshape(dims)[...] = box
-                bufs.reverse()
-                nlo = [h - l for l, h in zip(amin, amax)]
-            size = math.prod(dims)
-            _multiply(
-                bufs[0][:size], bufs[1][:size], _flat(nlo, dims), _flat(a, dims), _flat(b, dims)
-            )
+            vlo = [v + h - l for v, l, h in zip(vlo, amin, amax)]
+            _multiply(bufs[0], bufs[1], _flat(vlo, dims), _flat(a, dims), _flat(b, dims))
             bufs.reverse()
-            vlo = nlo
-    return valid_box()
+    return bufs[0].reshape(dims)[tuple(slice(v, None) for v in vlo)]
 
 
 def _flat(x, dims) -> int:
@@ -287,24 +256,6 @@ def _flat(x, dims) -> int:
     for xi, d in zip(x, dims):
         k = k * d + xi
     return k
-
-
-def _admissible_floor(adj_rows, lo, hi) -> tuple[int, ...]:
-    """Per coordinate i, a lower bound on m_i over the admissible m of the
-    box lo..hi, clipped to lo_i.  With adj >= 0, y_j = sum_l (m_l + 1) adj_lj
-    >= 1 and m_l <= hi_l for l != i give, for every j with adj_ij > 0,
-    m_i >= ceil((1 - sum_(l != i) (hi_l + 1) adj_lj) / adj_ij) - 1."""
-    n = len(adj_rows)
-    cols = [sum((h + 1) * adj_rows[l][j] for l, h in enumerate(hi)) for j in range(n)]
-    floor = []
-    for i in range(n):
-        q = lo[i]
-        for j, a in enumerate(adj_rows[i]):
-            if a > 0:
-                rest = cols[j] - (hi[i] + 1) * a
-                q = max(q, -((rest - 1) // a) - 1)
-        floor.append(q)
-    return tuple(floor)
 
 
 def _parallelepiped(vm: ValidatedMatrix):
@@ -385,28 +336,27 @@ def certify(
 
 
 class _Plan(NamedTuple):
-    """The window comparison's sizes and cut, known before any fill."""
+    """The window comparison's sizes, known before any fill."""
 
     p: int
     q: int
     factors: list
     lo: tuple[int, ...]
     hi: tuple[int, ...]
-    elo: tuple[int, ...]
-    fill_lo: tuple[int, ...]
+    hull_lo: tuple[int, ...]
     hull_hi: tuple[int, ...]
     adj_rows: list
     dtype: type
 
 
 def _plan(vm: ValidatedMatrix, window: Window, form: BergmanKernelForm) -> _Plan:
-    """The compared box lo..hi, the admissible cut elo, the filled hull
-    fill_lo..hull_hi and the accumulator's dtype of the window comparison
-    (see `_compare_window`).  WindowTooLargeError when the filled hull
-    (points times the fill dtype's itemsize) has more than
-    HULL_BUDGET_BYTES, naming the hull, or when the hull and the second
-    pass buffer together do, naming the comparison grid: the two stages
-    at which their allocation could fail."""
+    """The compared box lo..hi, the filled hull hull_lo..hull_hi and the
+    accumulator's dtype of the window comparison (see `_compare_window`).
+    WindowTooLargeError when the filled hull (points times the fill
+    dtype's itemsize) has more than HULL_BUDGET_BYTES, naming the hull, or
+    when the hull and the second pass buffer together do, naming the
+    comparison grid: the two stages at which their allocation could
+    fail."""
     n = vm.n
     ratio = vm.det ** (n - 1) * form.prefactor
     factors = [_binomial(f) for f in form.factors]
@@ -419,30 +369,26 @@ def _plan(vm: ValidatedMatrix, window: Window, form: BergmanKernelForm) -> _Plan
     hull_lo = tuple(l - d for l, d in zip(lo, dmax))
     hull_hi = tuple(h - d for h, d in zip(hi, dmin))
     adj_rows = [list(r) for r in vm.adj.rows]
-    qlo = _admissible_floor(adj_rows, hull_lo, hull_hi)
-    # at most hi + 1, where the cut box is empty
-    elo = tuple(min(max(l, a + d), h + 1) for l, a, d, h in zip(lo, qlo, dmin, hi))
-    fill_lo = tuple(e - d for e, d in zip(elo, dmax))
 
-    bound = _backend.product_bound(adj_rows, fill_lo, hull_hi)
+    bound = _backend.product_bound(adj_rows, hull_lo, hull_hi)
     dtype = _accumulator_dtype(bound, len(factors))
-    hull_points = math.prod(max(h - l + 1, 0) for l, h in zip(fill_lo, hull_hi))
+    hull_points = math.prod(h - l + 1 for l, h in zip(hull_lo, hull_hi))
     hull_bytes = hull_points * np.dtype(_backend.fill_dtype(bound)).itemsize
     if hull_bytes > HULL_BUDGET_BYTES:
         raise WindowTooLargeError(
-            f"the oracle hull {fill_lo}..{hull_hi} has {hull_points} points and needs "
+            f"the oracle hull {hull_lo}..{hull_hi} has {hull_points} points and needs "
             f"{hull_bytes} bytes, more than the oracle's budget of {HULL_BUDGET_BYTES} bytes"
         )
-    points = math.prod(h - e + 1 for e, h in zip(elo, hi))
+    points = math.prod(h - l + 1 for l, h in zip(lo, hi))
     spare_bytes = hull_points * np.dtype(dtype).itemsize
-    if points and hull_bytes + spare_bytes > HULL_BUDGET_BYTES:
+    if hull_bytes + spare_bytes > HULL_BUDGET_BYTES:
         raise WindowTooLargeError(
-            f"the oracle comparison grid {elo}..{hi} has {points} points; "
+            f"the oracle comparison grid {lo}..{hi} has {points} points; "
             f"multiplying the hull by the denominator needs {spare_bytes} bytes beside "
             f"the hull's {hull_bytes} bytes, more than the oracle's budget of {HULL_BUDGET_BYTES} bytes"
         )
     return _Plan(
-        ratio.numerator, ratio.denominator, factors, lo, hi, elo, fill_lo, hull_hi, adj_rows, dtype
+        ratio.numerator, ratio.denominator, factors, lo, hi, hull_lo, hull_hi, adj_rows, dtype
     )
 
 
@@ -450,7 +396,6 @@ def compare_with_closed_form(
     vm: ValidatedMatrix,
     window: Window,
     form: BergmanKernelForm | None = None,
-    jobs: int = 1,
 ) -> OracleReport:
     """Compare the closed form with the series at every point of the
     compared box, the window together with the numerator's bounding box,
@@ -462,19 +407,16 @@ def compare_with_closed_form(
     on all of Z^n: when it holds, every point of the box matches, and the
     report is the one the window comparison gives a correct form, with no
     mismatches and the same box.  Only a form the certificate refuses is
-    compared on the window, which gives its mismatches; `jobs` is the
-    thread count of that comparison's fill."""
+    compared on the window, which gives its mismatches."""
     if form is None:
         form = assemble_kernel(vm)
     plan = _plan(vm, window, form)
     if certify(vm, form) is None:
         return OracleReport((), plan.lo, plan.hi)
-    return _compare_window(vm, window, form, jobs)
+    return _compare_window(vm, window, form)
 
 
-def _compare_window(
-    vm: ValidatedMatrix, window: Window, form: BergmanKernelForm, jobs: int = 1
-) -> OracleReport:
+def _compare_window(vm: ValidatedMatrix, window: Window, form: BergmanKernelForm) -> OracleReport:
     """Multiply the oracle series by the squared denominator and compare it
     with the closed-form numerator, exactly, zeros included, at every point
     of the compared box: the window together with the numerator's bounding
@@ -487,27 +429,20 @@ def _compare_window(
     needs the series on the hull, the compared box widened by the squared
     denominator's exponent extents (twice the sum over the factors of
     their per-coordinate min/max exponents), and the fill is exact at
-    every hull point, 0 where a point is inadmissible.  Since adj B >= 0,
-    the admissible exponents form an up-set, so on the hull every one has
-    m >= qlo (`_admissible_floor`), and the product vanishes wherever some
-    e_i < qlo_i + dmin_i.  Only the part of the compared box at or above
-    elo = max(lo, qlo + dmin) is computed: the series is filled on
-    elo - dmax .. the hull's upper corner, and each factor multiplies it
-    twice, one flat pass each (`_passes`).  The passes alternate between
-    the fill's array and one more buffer of its size, C-contiguous both;
-    each moves the origin by the factor's least exponents and shrinks the
-    valid box from below by its extent, so after them the valid box is
-    exactly elo..hi, read as a view.  The entries outside the valid box
-    are margins that no valid entry reads, and when they would outweigh
-    the valid box (2 * valid points < the entries a pass computes), the
-    valid box is first copied into the other buffer.  Numerator terms
-    below the cut are compared with 0.  The report's safe box is the whole
+    every hull point, 0 where a point is inadmissible.  The series is
+    filled on the hull, and each factor multiplies it twice, one flat pass
+    each (`_passes`).  The passes alternate between the fill's array and
+    one more buffer of its size, C-contiguous both; each moves the origin
+    by the factor's least exponents and shrinks the valid box from below
+    by its extent, so after them the valid box is exactly the compared
+    box, read as a view.  The entries outside the valid box are margins
+    that no valid entry reads.  The report's safe box is the whole
     compared box, and `checked` counts its points; no window is too small.
 
     Every factor must be a binomial +-(t^a - t^b), as every kernel form's
     is; any other factor is a ValueError.  A pass by one is a single
-    subtraction, and the accumulator is int64 when product_bound(filled
-    box) * 4**k < 2**62 for k factors, exact Python integers otherwise.
+    subtraction, and the accumulator is int64 when product_bound(hull)
+    * 4**k < 2**62 for k factors, exact Python integers otherwise.
     The bound covers the margins too: each margin entry is the same
     difference of two entries of the previous buffer as a valid entry.
     On the object path, a pass reads only entries an earlier pass or the
@@ -515,31 +450,25 @@ def _compare_window(
     HULL_BUDGET_BYTES before the fill; when the second buffer still cannot
     be allocated, WindowTooLargeError names the comparison grid.
     """
-    p, q, factors, lo, hi, elo, fill_lo, hull_hi, adj_rows, dtype = _plan(vm, window, form)
+    p, q, factors, lo, hi, hull_lo, hull_hi, adj_rows, dtype = _plan(vm, window, form)
     n = vm.n
     det_adj = vm.det ** (n - 1)
-    num = form.numerator
-    shape = tuple(h - e + 1 for e, h in zip(elo, hi))
+    terms = list(form.numerator.items())
+    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
     points = math.prod(shape)
-    acc = _backend.fill_products(adj_rows, fill_lo, hull_hi, jobs=jobs)
-    terms, below = [], []
-    for e, c in num.items():
-        (terms if all(x >= l for x, l in zip(e, elo)) else below).append((e, c))
+    acc = _backend.fill_products(adj_rows, hull_lo, hull_hi)
     idx = tuple(
-        np.array([e[i] - elo[i] for e, _ in terms], dtype=np.intp) for i in range(n)
+        np.array([e[i] - lo[i] for e, _ in terms], dtype=np.intp) for i in range(n)
     )
     try:
         acc = acc.astype(dtype, copy=False)
-        if points:
-            acc = _passes(acc, np.empty(acc.size, dtype=dtype), factors)
-        else:
-            acc = np.zeros(shape, dtype=dtype)
+        acc = _passes(acc, np.empty(acc.size, dtype=dtype), factors)
         got = acc[idx]
         acc[idx] = 0  # what is left must vanish: the numerator has no term there
         extra = np.flatnonzero(acc)
     except MemoryError:
         raise WindowTooLargeError(
-            f"the oracle comparison grid {elo}..{hi} has {points} points; "
+            f"the oracle comparison grid {lo}..{hi} has {points} points; "
             f"multiplying the hull by the denominator needs at least "
             f"{points * np.dtype(dtype).itemsize} bytes beside the hull, more "
             "than can be allocated"
@@ -547,10 +476,9 @@ def _compare_window(
 
     # p and q scale Python integers only, so the accumulator's bound holds
     wrong = {e: (c, g) for (e, c), g in zip(terms, got.tolist()) if q * g != p * c}
-    wrong.update((e, (c, 0)) for e, c in below if p * c)  # the product is 0 there
     for i in extra:
         offs = np.unravel_index(int(i), shape)
-        wrong[tuple(l + int(o) for l, o in zip(elo, offs))] = (0, int(acc[offs]))
+        wrong[tuple(l + int(o) for l, o in zip(lo, offs))] = (0, int(acc[offs]))
     mismatches = tuple(
         (e, Fraction(p * c, q * det_adj), Fraction(g, det_adj))
         for e, (c, g) in sorted(wrong.items())

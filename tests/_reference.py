@@ -58,7 +58,7 @@ def try_exact_divide(num: LaurentPolynomial, divisor: LaurentPolynomial):
 
 
 def compare_uncut(vm, window, form=None):
-    """The oracle comparison without the admissible cut: the series is
+    """The oracle comparison in its plainest form: the series is
     filled over the whole hull (the compared box widened by the squared
     denominator's exponent extents), in exact Python integers, and each
     factor multiplies it twice as a plain sum of c * shifted hull over its

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from bergpoly import _backend
-from bergpoly.int_linalg import IntMatrix, prepare
 
 
 def reference_fill(adj_rows, lo, hi):
@@ -31,8 +30,8 @@ ADJ_CASES = [
 ]
 
 
-def assert_matches_reference(adj, lo, hi, jobs):
-    out = _backend.fill_products(adj, lo, hi, jobs=jobs)
+def assert_matches_reference(adj, lo, hi):
+    out = _backend.fill_products(adj, lo, hi)
     ref = reference_fill(adj, lo, hi)
     assert out.dtype == np.int64
     assert out.shape == ref.shape
@@ -41,15 +40,13 @@ def assert_matches_reference(adj, lo, hi, jobs):
 
 @pytest.mark.parametrize("adj,lo,hi", ADJ_CASES)
 def test_python_matches_reference(adj, lo, hi):
-    for jobs in (1, 2):
-        assert_matches_reference(adj, lo, hi, jobs)
+    assert_matches_reference(adj, lo, hi)
 
 
 def test_several_slabs_match_reference():
     adj, lo, hi = [[2, 1, 0], [1, 1, 1], [0, 0, 3]], (-20, -20, -20), (20, 20, 20)
     assert 41**3 > _backend.SLAB_POINTS
-    for jobs in (1, 2):
-        assert_matches_reference(adj, lo, hi, jobs)
+    assert_matches_reference(adj, lo, hi)
 
 
 def test_planes_larger_than_a_slab_match_reference():
@@ -58,10 +55,9 @@ def test_planes_larger_than_a_slab_match_reference():
     adj, lo, hi = [[2, 1, 0], [1, 1, 1], [0, 0, 3]], (-1, -128, -128), (0, 128, 128)
     assert 257**2 > _backend.SLAB_POINTS
     ref = reference_fill(adj, lo, hi)
-    for jobs in (1, 2):
-        out = _backend.fill_products(adj, lo, hi, jobs=jobs)
-        assert out.dtype == np.int64 and out.shape == ref.shape == (2, 257, 257)
-        assert np.array_equal(out, ref)
+    out = _backend.fill_products(adj, lo, hi)
+    assert out.dtype == np.int64 and out.shape == ref.shape == (2, 257, 257)
+    assert np.array_equal(out, ref)
 
 
 def test_int64_bound_edge():
@@ -81,44 +77,3 @@ def test_object_path_on_huge_entries():
     # m = (1, 2): y = (2 big, 2 + 3 big)
     assert out[1, 2] == (2 * big) * (2 + 3 * big)
 
-
-def test_slab_parallel_fill_matches_serial():
-    vm = prepare(IntMatrix(((3, -2), (-1, 1))))
-    adj = [list(r) for r in vm.adj.rows]
-    a = _backend.fill_products(adj, (-6, -6), (9, 9), jobs=1)
-    b = _backend.fill_products(adj, (-6, -6), (9, 9), jobs=4)
-    assert np.array_equal(a, b)
-
-
-def test_thread_pool_is_bounded(monkeypatch):
-    # at most min(jobs, slabs, cpus) threads; the recorder starts none and
-    # runs the slabs in this thread
-    workers = []
-
-    class Recorder:
-        def __init__(self, max_workers):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    adj, lo, hi = [[2, 1, 0], [1, 1, 1], [0, 0, 3]], (-20, -20, -20), (20, 20, 20)
-    slabs = len(range(0, 41, _backend.SLAB_POINTS // 41**2))
-    assert slabs == 2
-    serial = _backend.fill_products(adj, lo, hi)
-    monkeypatch.setattr(_backend, "ThreadPoolExecutor", Recorder)
-    for cpus, jobs, want in ((8, 10**9, [2]), (1, 4, []), (8, 1, []), (8, 0, []), (8, 2, [2])):
-        monkeypatch.setattr(_backend.os, "cpu_count", lambda: cpus)
-        workers.clear()
-        assert np.array_equal(_backend.fill_products(adj, lo, hi, jobs=jobs), serial)
-        assert workers == want
-    monkeypatch.setattr(_backend.os, "cpu_count", lambda: 2)
-    workers.clear()
-    _backend.fill_products(adj, (-60,) * 3, (60,) * 3, jobs=10**9)
-    assert workers == [2]

@@ -285,19 +285,24 @@ class TestVerify:
 
         monkeypatch.setattr(_backend, "fill_products", no_fill)
         cyclic5 = "2 -1 0 0 0 / 0 2 -1 0 0 / 0 0 2 -1 0 / 0 0 0 2 -1 / -1 0 0 0 2"
+        cyclic6 = ("2 -1 0 0 0 0 / 0 2 -1 0 0 0 / 0 0 2 -1 0 0 / 0 0 0 2 -1 0 / "
+                   "0 0 0 0 2 -1 / -1 0 0 0 0 2")
+        # the 3x3 with large entries is refused at its own default radius, 240
         for matrix, window, stage in (
-            (cyclic5, "19", "the oracle comparison grid"),
-            (cyclic5, "40", "the oracle hull"),
-            ("1 0 / 0 1", "3000000000", "the oracle hull"),
+            (cyclic5, ("--window", "19"), "the oracle comparison grid"),
+            (cyclic5, ("--window", "40"), "the oracle hull"),
+            ("1 0 / 0 1", ("--window", "3000000000"), "the oracle hull"),
+            ("40 -39 0 / 0 40 -39 / -39 0 40", (), "the oracle comparison grid"),
         ):
-            code, out, err = run(capsys, "verify", "--matrix", matrix, "--window", window)
+            code, out, err = run(capsys, "verify", "--matrix", matrix, *window)
             assert code == 1 and out == ""
             lines = err.splitlines()
             assert len(lines) == 1
             assert lines[0].startswith("WindowTooLargeError: " + stage)
             assert lines[0].endswith(f"budget of {oracle.HULL_BUDGET_BYTES} bytes")
-        code, out, _ = run(capsys, "verify", "--matrix", cyclic5)
-        assert code == 0 and json.loads(out)["checked"] == 25**5
+        for matrix, window, checked in ((cyclic5, (), 25**5), (cyclic6, ("--window", "5"), 11**6)):
+            code, out, _ = run(capsys, "verify", "--matrix", matrix, *window)
+            assert code == 0 and json.loads(out)["checked"] == checked
 
     def test_canonicity_exit_code(self, capsys, monkeypatch):
         from bergpoly.errors import CanonicityViolationError
