@@ -1,4 +1,4 @@
-"""Wall time of large CLI calls, and of the window comparison a wrong form falls back to.
+"""Wall time of large CLI calls, and of the comparison of a wrong form.
 
     python3 benchmarks/large.py --parent ../parent-checkout --pairs 10
 
@@ -9,17 +9,19 @@ times each call's wall time, interpreter start included.  Both sides
 must print the same stdout with the same exit code, or the script stops
 with exit code 1.
 
-No CLI call reaches the window comparison of a correct form, so each
-side also times, in a subprocess of its own, one in-process window
-comparison (`oracle._compare_window`, or `compare_with_closed_form` in a
-checkout that has no `_compare_window`) of the 6x6 cyclic (2, -1) form
-with one numerator coefficient raised by 1, on the window of radius 5.
-Both sides must report the same mismatches.
+No CLI call compares a wrong form, so each side also times, in a
+subprocess of its own, one in-process comparison of the 6x6 cyclic
+(2, -1) form with one numerator coefficient raised by 1, on the window
+of radius 5: `oracle._compare_window`, the window fill and passes of
+checkouts that have it, or else `compare_with_closed_form`, which reads
+the report off the lattice-cone numerator.  Both sides must report the
+same mismatches.  The subprocess also reports its peak resident set
+size (ru_maxrss, imports included).
 
 It prints each pair's times, both sides' medians and quartiles and the
 number of pairs the change wins, and writes the same, with both
-checkouts' git revisions, under the key "fixed" (the calls take no
-seed) of benchmarks/BENCH_large.json.
+checkouts' git revisions and the comparison's peak RSS, under the key
+"fixed" (the calls take no seed) of benchmarks/BENCH_large.json.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -58,8 +61,8 @@ FALLBACK_TERM = (2, 3, 1, 4, 0, 2)
 
 
 def worker(src: Path) -> None:
-    """Time the window comparison of the corrupted 6x6 form on the bergpoly
-    under src; print one JSON line of its seconds and mismatches."""
+    """Time the comparison of the corrupted 6x6 form on the bergpoly under
+    src; print one JSON line of its seconds, peak RSS and mismatches."""
     sys.path.insert(0, str(src))
     from bergpoly import LaurentPolynomial, Window, assemble_kernel, oracle, parse_matrix, prepare
 
@@ -72,7 +75,10 @@ def worker(src: Path) -> None:
     start = time.perf_counter()
     report = compare(vm, Window.cube(vm.n, 5), form=form)
     seconds = time.perf_counter() - start
-    print(json.dumps({"seconds": seconds, "mismatches": repr(report.mismatches)}))
+    # ru_maxrss is in KiB on Linux
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(json.dumps({"seconds": seconds, "peak_rss_mb": peak,
+                      "mismatches": repr(report.mismatches)}))
 
 
 def _call(checkout: Path, argv) -> tuple[float, tuple[int, str]]:
@@ -84,13 +90,13 @@ def _call(checkout: Path, argv) -> tuple[float, tuple[int, str]]:
     return seconds, (out.returncode, hashlib.sha256(out.stdout.encode()).hexdigest())
 
 
-def _fallback(checkout: Path) -> tuple[float, tuple[int, str]]:
+def _fallback(checkout: Path) -> tuple[float, float, tuple[int, str]]:
     out = subprocess.run(
         [sys.executable, str(Path(__file__).resolve()), "--worker", str(checkout / "src")],
         capture_output=True, text=True, check=True,
     )
     result = json.loads(out.stdout.strip().splitlines()[-1])
-    return result["seconds"], (0, result["mismatches"])
+    return result["seconds"], result["peak_rss_mb"], (0, result["mismatches"])
 
 
 def main(argv=None) -> int:
@@ -113,12 +119,14 @@ def main(argv=None) -> int:
     names = [*CALLS, FALLBACK]
 
     values = {name: {"parent": [], "change": []} for name in names}
+    peak_rss = {"parent": [], "change": []}
     outputs: dict[str, tuple[int, str]] = {}
 
     def run(side: str) -> None:
         for name in names:
             if name == FALLBACK:
-                seconds, output = _fallback(sides[side])
+                seconds, peak, output = _fallback(sides[side])
+                peak_rss[side].append(peak)
             else:
                 seconds, output = _call(sides[side], CALLS[name])
             if outputs.setdefault(name, output) != output:
@@ -151,6 +159,11 @@ def main(argv=None) -> int:
             f"  change {cs['median']:.3f} [{cs['q1']:.3f}, {cs['q3']:.3f}] s"
             f"  change wins {report[name]['wins']}/{args.pairs}"
         )
+    ps, cs = summary(peak_rss["parent"]), summary(peak_rss["change"])
+    report[FALLBACK]["peak_rss_mb"] = {
+        **peak_rss, "parent_summary": ps, "change_summary": cs,
+    }
+    print(f"{FALLBACK} peak RSS: parent {ps['median']:.1f}  change {cs['median']:.1f} MB")
 
     record(
         ROOT / "benchmarks" / "BENCH_large.json",

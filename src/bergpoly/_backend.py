@@ -42,11 +42,6 @@ def product_bound(adj_rows, lo, hi) -> int:
     return bound
 
 
-def fill_dtype(bound: int) -> type:
-    """The fill's dtype for a box whose product_bound is bound."""
-    return object if bound >= _INT64_SAFE else np.int64
-
-
 def fill_products(adj_rows, lo, hi) -> np.ndarray:
     """Dense C-order array over the box lo..hi of prod_j ((m+1) @ adj)_j,
     with 0 marking inadmissible exponents.  dtype is int64 when the exact
@@ -59,7 +54,7 @@ def fill_products(adj_rows, lo, hi) -> np.ndarray:
     if any(s <= 0 for s in shape):
         return np.zeros(tuple(max(s, 0) for s in shape), dtype=np.int64)
 
-    dtype = fill_dtype(product_bound(adj_rows, lo, hi))
+    dtype = object if product_bound(adj_rows, lo, hi) >= _INT64_SAFE else np.int64
     points = math.prod(shape)
     try:
         # numpy refuses an array of more bytes than an intp can count

@@ -18,13 +18,14 @@ dim2, a matrix for sig1 or pz) as invalid input: exit 1.
 
 `verify` checks every point of the window together with the
 numerator's bounding box (the report's `safeBox`), so no window is too
-small.  It first certifies the form on all of Z^n (`oracle.certify`), and
-compares the window point by point only when the certificate refuses
-the form.  That comparison fills the window in one thread; --jobs N is
-accepted for N >= 1 and changes nothing.  A window whose oracle hull,
-or hull and second pass buffer together, would take more than the
-oracle's budget of 2^31 bytes is invalid input, whatever the form: exit
-1 with one WindowTooLargeError line giving its point count and bytes.
+small.  It checks the form against the lattice-cone numerator N on all
+of Z^n (`oracle.certify`) and reads the mismatches in the box off N, so
+it never fills a window; --jobs N is accepted for N >= 1 and ignored.
+A window whose oracle hull (the box widened by the squared denominator's
+exponent extents), or that hull twice, would take more than the
+oracle's budget of 2^31 bytes at 8 bytes a point is invalid input,
+whatever the form: exit 1 with one WindowTooLargeError line giving its
+point count and bytes.
 A numerator too large to enumerate in memory is invalid input too: exit
 1 with one NumeratorTooLargeError line.
 `eval --epsilon` is the modulus below which a denominator factor counts
@@ -103,8 +104,8 @@ def _build_parser() -> _Parser:
     )
     p_verify.add_argument(
         "--jobs", type=int, default=1,
-        help="accepted for compatibility (at least 1); the oracle window "
-        "fill runs in one thread",
+        help="accepted for compatibility (at least 1) and ignored; verify "
+        "fills no window",
     )
 
     p_special = add_format(add_matrix(

@@ -46,32 +46,17 @@ Discretely*, ch. 3).  A form whose factors are the row binomials, up to
 sign and order, is therefore right everywhere exactly when
 d^(n-1) * prefactor * numerator = N, term for term.
 
-The window comparison (`_compare_window`) runs only for a form that the
-certificate refuses, and checks it on a box.  The closed form is
-prefactor * num / prod_f f^2, so det A times the series, multiplied by
-every factor f twice, must equal det A * prefactor * num; with
-det A * prefactor = p/q in lowest terms, q times that product is compared
-with p * num.  The fill gives the exact coefficient at every point of any
-box (0 where inadmissible), so the product is exact on a box as soon as
-the series is filled on that box widened by the squared denominator's
-exponent extents: the comparison never truncates, and every point of the
-window is checked.
-
-Every factor of a kernel form is a binomial t^a - t^b, up to sign, and
-its square does not see the sign, so a pass by a factor is one
-subtraction.  The passes run on flat memory.  The filled series and one
-more buffer of the same size are C-contiguous, and the passes alternate
-between them.  Entry x of a buffer stands for the exponent origin + x.
-A pass by a factor with least exponents amin = min(a, b) moves the
-origin by amin, so its two terms read the previous buffer at one flat
-offset each, those of a - amin and b - amin, and the pass is one
-np.subtract over flat slices.  Only the box vlo..shape - 1 of a buffer
-is valid, and each pass raises vlo by the factor's extent amax - amin.
-A valid entry reads, for each term, the entry whose coordinates are its
-own minus a - amin (or b - amin); those lie in the previous valid box,
-so no carry across rows occurs.  The other entries the slices cover are
-margin values: computed, but never read by a valid entry.  The compared
-box is read as a view of the last buffer.
+`compare_with_closed_form` reads its report off N too.  The closed form
+is prefactor * num / prod_f f^2, and when its factors are the row
+binomials, det^(n-1) times the series times prod_f f^2 is N at every
+exponent.  So comparing that product with det^(n-1) * prefactor * num
+point by point on a box, as a window comparison would, compares N's
+terms with the numerator's: with det^(n-1) * prefactor = p/q in lowest
+terms, e is a mismatch exactly when p * num(e) != q * N(e).  Only an
+exponent in the support of num or N can be one, so every point of the
+box is checked and no window is filled.  HULL_BUDGET_BYTES still limits
+the window: a window is refused by the size of the hull that a
+point-by-point product would fill, whatever the form.
 """
 
 from __future__ import annotations
@@ -82,7 +67,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -96,8 +81,8 @@ from .laurent import LaurentPolynomial
 # counts as settled
 CAUCHY_TOL = 1e-9
 
-# bytes the window comparison may hold in its hull and second pass buffer;
-# a window over it is refused before anything is filled
+# bytes a window's hull, and the hull with a second buffer of its size,
+# may count for (`_plan`); a window over it is refused whatever the form
 HULL_BUDGET_BYTES = 2**31
 
 
@@ -205,59 +190,6 @@ class OracleReport:
         return not self.mismatches
 
 
-def _accumulator_dtype(hull_bound: int, k: int) -> type:
-    """int64 when every pass provably fits, object otherwise.  |S| <= hull_bound
-    on the hull, and a pass by a binomial t^a - t^b at most doubles the
-    largest |value|; each of the k factors is applied twice.  The bound
-    covers the margin entries of the flat passes too, since each is the
-    same difference of two entries of the previous buffer as a valid one."""
-    return object if hull_bound * 4**k >= _backend._INT64_SAFE else np.int64
-
-
-def _binomial(f) -> tuple[tuple[int, ...], ...]:
-    """(amin, amax, a - amin, b - amin) of a factor f = +-(t^a - t^b): its
-    least and greatest exponent per coordinate and its two exponents
-    relative to the least.  ValueError for any other polynomial
-    (LaurentPolynomial.binomial)."""
-    a, b = f.binomial()
-    amin = tuple(map(min, a, b))
-    rel = [tuple(x - m for x, m in zip(e, amin)) for e in (a, b)]
-    return (amin, tuple(map(max, a, b)), *rel)
-
-
-def _multiply(src: np.ndarray, dst: np.ndarray, begin: int, a: int, b: int) -> None:
-    """One pass over flat buffers of equal length: dst[k] = src[k - a] -
-    src[k - b] for every k >= begin, for flat offsets a, b <= begin."""
-    np.subtract(src[begin - a : len(src) - a], src[begin - b : len(src) - b], out=dst[begin:])
-
-
-def _passes(hull: np.ndarray, spare: np.ndarray, factors) -> np.ndarray:
-    """hull times every factor (amin, amax, a, b) twice, as a view of the
-    product's valid box; hull and spare are C-contiguous buffers of
-    hull.size entries (see the module docstring for the layout).
-
-    Both buffers hold hull-shaped data, valid on vlo..hull.shape - 1.  A
-    pass writes the other buffer from begin, the flat index of
-    vlo + amax - amin, and it reads at the flat offsets of a and b, the
-    factor's exponents relative to amin."""
-    bufs = [hull.reshape(-1), spare]
-    dims, vlo = hull.shape, [0] * hull.ndim
-    for amin, amax, a, b in factors:
-        for _ in range(2):
-            vlo = [v + h - l for v, l, h in zip(vlo, amin, amax)]
-            _multiply(bufs[0], bufs[1], _flat(vlo, dims), _flat(a, dims), _flat(b, dims))
-            bufs.reverse()
-    return bufs[0].reshape(dims)[tuple(slice(v, None) for v in vlo)]
-
-
-def _flat(x, dims) -> int:
-    """Flat C-order index of the multi-index x in an array of shape dims."""
-    k = 0
-    for xi, d in zip(x, dims):
-        k = k * d + xi
-    return k
-
-
 def _parallelepiped(vm: ValidatedMatrix):
     """y = x adj B for each of the det points x of the half-open
     parallelepiped Pi = {x in Z^n : 1 <= (x adj B)_j <= det}, one point per
@@ -295,6 +227,27 @@ def cone_numerator(vm: ValidatedMatrix) -> dict[tuple[int, ...], int]:
     return out
 
 
+def _differences(
+    vm: ValidatedMatrix, form: BergmanKernelForm
+) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
+    """{e: (prefactor * num(e), N(e) / det^(n-1))} at every exponent where
+    det^(n-1) * prefactor * numerator and N = `cone_numerator(vm)` differ.
+    With det^(n-1) * prefactor = p/q, the test is p * num(e) != q * N(e),
+    in integers."""
+    det_adj = vm.det ** (vm.n - 1)
+    ratio = det_adj * form.prefactor
+    p, q = ratio.numerator, ratio.denominator
+    cone = cone_numerator(vm)
+    wrong = {}
+    for e, c in form.numerator.items():
+        g = cone.pop(e, 0)
+        if p * c != q * g:
+            wrong[e] = (c, g)
+    # N's coefficients are positive, so each term left differs from num's 0
+    wrong.update((e, (0, g)) for e, g in cone.items())
+    return {e: (Fraction(p * c, q * det_adj), Fraction(g, det_adj)) for e, (c, g) in wrong.items()}
+
+
 def certify(
     vm: ValidatedMatrix, form: BergmanKernelForm
 ) -> tuple[int, ...] | LaurentPolynomial | None:
@@ -303,8 +256,7 @@ def certify(
     t^((b_-)^j) - t^((b_+)^j) (up to sign and order), or the first row
     binomial no factor matches, or the least exponent, in lexicographic
     order, where det^(n-1) * prefactor * numerator and N =
-    `cone_numerator(vm)` differ; with det^(n-1) * prefactor = p/q, the
-    comparison is p * numerator against q * N, in integers.
+    `cone_numerator(vm)` differ (`_differences`).
 
     It reads only B, det B and adj B.  N costs at most det * 2^n dict
     terms, the same order as the numerator that `assemble_kernel` has
@@ -323,73 +275,46 @@ def certify(
     for a, b in rows:
         if unmatched[frozenset((a, b))]:
             return LaurentPolynomial(vm.n, {a: 1, b: -1})
-
-    ratio = vm.det ** (vm.n - 1) * form.prefactor
-    p, q = ratio.numerator, ratio.denominator
-    cone = cone_numerator(vm)
-    num = form.numerator
-    if len(num) == len(cone) and all(p * c == q * cone.get(e, 0) for e, c in num.items()):
-        return None
-    differ = [e for e, c in num.items() if p * c != q * cone.get(e, 0)]
-    differ += [e for e in cone if num.coefficient(e) == 0]
-    return min(differ)
+    wrong = _differences(vm, form)
+    return min(wrong) if wrong else None
 
 
-class _Plan(NamedTuple):
-    """The window comparison's sizes, known before any fill."""
-
-    p: int
-    q: int
-    factors: list
-    lo: tuple[int, ...]
-    hi: tuple[int, ...]
-    hull_lo: tuple[int, ...]
-    hull_hi: tuple[int, ...]
-    adj_rows: list
-    dtype: type
+# bytes a point of the hull counts for: an int64 or an object pointer
+_HULL_ENTRY_BYTES = 8
 
 
-def _plan(vm: ValidatedMatrix, window: Window, form: BergmanKernelForm) -> _Plan:
-    """The compared box lo..hi, the filled hull hull_lo..hull_hi and the
-    accumulator's dtype of the window comparison (see `_compare_window`).
-    WindowTooLargeError when the filled hull (points times the fill
-    dtype's itemsize) has more than HULL_BUDGET_BYTES, naming the hull, or
-    when the hull and the second pass buffer together do, naming the
-    comparison grid: the two stages at which their allocation could
-    fail."""
-    n = vm.n
-    ratio = vm.det ** (n - 1) * form.prefactor
-    factors = [_binomial(f) for f in form.factors]
-    dmin = [2 * sum(x) for x in zip(*(f[0] for f in factors))]
-    dmax = [2 * sum(x) for x in zip(*(f[1] for f in factors))]
+def _plan(window: Window, form: BergmanKernelForm):
+    """The compared box lo..hi, the window together with the numerator's
+    bounding box.  WindowTooLargeError when its hull, the box widened by
+    the squared denominator's exponent extents (twice the sum over the
+    factors of their per-coordinate min/max exponents), has more than
+    HULL_BUDGET_BYTES at _HULL_ENTRY_BYTES a point, naming the hull, or
+    when the hull and a second buffer of its size together do, naming the
+    comparison grid.  Nothing is filled, so the refusal depends on the
+    window's size alone."""
     num = form.numerator
     lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
     hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
-
+    dmin = [2 * sum(x) for x in zip(*(f.min_exponents() for f in form.factors))]
+    dmax = [2 * sum(x) for x in zip(*(f.max_exponents() for f in form.factors))]
     hull_lo = tuple(l - d for l, d in zip(lo, dmax))
     hull_hi = tuple(h - d for h, d in zip(hi, dmin))
-    adj_rows = [list(r) for r in vm.adj.rows]
 
-    bound = _backend.product_bound(adj_rows, hull_lo, hull_hi)
-    dtype = _accumulator_dtype(bound, len(factors))
     hull_points = math.prod(h - l + 1 for l, h in zip(hull_lo, hull_hi))
-    hull_bytes = hull_points * np.dtype(_backend.fill_dtype(bound)).itemsize
+    hull_bytes = hull_points * _HULL_ENTRY_BYTES
     if hull_bytes > HULL_BUDGET_BYTES:
         raise WindowTooLargeError(
             f"the oracle hull {hull_lo}..{hull_hi} has {hull_points} points and needs "
             f"{hull_bytes} bytes, more than the oracle's budget of {HULL_BUDGET_BYTES} bytes"
         )
-    points = math.prod(h - l + 1 for l, h in zip(lo, hi))
-    spare_bytes = hull_points * np.dtype(dtype).itemsize
-    if hull_bytes + spare_bytes > HULL_BUDGET_BYTES:
+    if 2 * hull_bytes > HULL_BUDGET_BYTES:
+        points = math.prod(h - l + 1 for l, h in zip(lo, hi))
         raise WindowTooLargeError(
             f"the oracle comparison grid {lo}..{hi} has {points} points; "
-            f"multiplying the hull by the denominator needs {spare_bytes} bytes beside "
+            f"multiplying the hull by the denominator needs {hull_bytes} bytes beside "
             f"the hull's {hull_bytes} bytes, more than the oracle's budget of {HULL_BUDGET_BYTES} bytes"
         )
-    return _Plan(
-        ratio.numerator, ratio.denominator, factors, lo, hi, hull_lo, hull_hi, adj_rows, dtype
-    )
+    return lo, hi
 
 
 def compare_with_closed_form(
@@ -399,91 +324,31 @@ def compare_with_closed_form(
 ) -> OracleReport:
     """Compare the closed form with the series at every point of the
     compared box, the window together with the numerator's bounding box,
-    and report the mismatches there (see `_compare_window`).
+    and report the mismatches there, closed form first, as coefficients of
+    the series times the squared denominator, in lexicographic order.
 
-    The window's sizes are checked first (`_plan`), so a window whose
-    comparison would exceed HULL_BUDGET_BYTES is refused with
-    WindowTooLargeError whatever the form.  Then `certify` checks the form
-    on all of Z^n: when it holds, every point of the box matches, and the
-    report is the one the window comparison gives a correct form, with no
-    mismatches and the same box.  Only a form the certificate refuses is
-    compared on the window, which gives its mismatches."""
+    The window's sizes are checked first (`_plan`), so a window over
+    HULL_BUDGET_BYTES is refused with WindowTooLargeError whatever the
+    form.  Then `certify` checks the form on all of Z^n: when it holds,
+    every point of the box matches.  A form whose factors are not B's row
+    binomials, up to sign and order, is a ValueError naming the factor
+    `certify` names.  Otherwise det^(n-1) times the series times the
+    squared denominator is N at every exponent, so the mismatches are the
+    differences from N (`_differences`) that lie in the box; no window is
+    filled."""
     if form is None:
         form = assemble_kernel(vm)
-    plan = _plan(vm, window, form)
-    if certify(vm, form) is None:
-        return OracleReport((), plan.lo, plan.hi)
-    return _compare_window(vm, window, form)
-
-
-def _compare_window(vm: ValidatedMatrix, window: Window, form: BergmanKernelForm) -> OracleReport:
-    """Multiply the oracle series by the squared denominator and compare it
-    with the closed-form numerator, exactly, zeros included, at every point
-    of the compared box: the window together with the numerator's bounding
-    box.  The form may carry any prefactor: with det A * prefactor = p/q,
-    q * (det A * series) * denominator is compared with p * numerator, and
-    mismatches are reported as coefficients of the series times the
-    denominator, closed form first.
-
-    Nothing is truncated.  The product at a point of the compared box
-    needs the series on the hull, the compared box widened by the squared
-    denominator's exponent extents (twice the sum over the factors of
-    their per-coordinate min/max exponents), and the fill is exact at
-    every hull point, 0 where a point is inadmissible.  The series is
-    filled on the hull, and each factor multiplies it twice, one flat pass
-    each (`_passes`).  The passes alternate between the fill's array and
-    one more buffer of its size, C-contiguous both; each moves the origin
-    by the factor's least exponents and shrinks the valid box from below
-    by its extent, so after them the valid box is exactly the compared
-    box, read as a view.  The entries outside the valid box are margins
-    that no valid entry reads.  The report's safe box is the whole
-    compared box, and `checked` counts its points; no window is too small.
-
-    Every factor must be a binomial +-(t^a - t^b), as every kernel form's
-    is; any other factor is a ValueError.  A pass by one is a single
-    subtraction, and the accumulator is int64 when product_bound(hull)
-    * 4**k < 2**62 for k factors, exact Python integers otherwise.
-    The bound covers the margins too: each margin entry is the same
-    difference of two entries of the previous buffer as a valid entry.
-    On the object path, a pass reads only entries an earlier pass or the
-    fill has written.  `_plan` refuses a hull or a second buffer over
-    HULL_BUDGET_BYTES before the fill; when the second buffer still cannot
-    be allocated, WindowTooLargeError names the comparison grid.
-    """
-    p, q, factors, lo, hi, hull_lo, hull_hi, adj_rows, dtype = _plan(vm, window, form)
-    n = vm.n
-    det_adj = vm.det ** (n - 1)
-    terms = list(form.numerator.items())
-    shape = tuple(h - l + 1 for l, h in zip(lo, hi))
-    points = math.prod(shape)
-    acc = _backend.fill_products(adj_rows, hull_lo, hull_hi)
-    idx = tuple(
-        np.array([e[i] - lo[i] for e, _ in terms], dtype=np.intp) for i in range(n)
-    )
-    try:
-        acc = acc.astype(dtype, copy=False)
-        acc = _passes(acc, np.empty(acc.size, dtype=dtype), factors)
-        got = acc[idx]
-        acc[idx] = 0  # what is left must vanish: the numerator has no term there
-        extra = np.flatnonzero(acc)
-    except MemoryError:
-        raise WindowTooLargeError(
-            f"the oracle comparison grid {lo}..{hi} has {points} points; "
-            f"multiplying the hull by the denominator needs at least "
-            f"{points * np.dtype(dtype).itemsize} bytes beside the hull, more "
-            "than can be allocated"
-        ) from None
-
-    # p and q scale Python integers only, so the accumulator's bound holds
-    wrong = {e: (c, g) for (e, c), g in zip(terms, got.tolist()) if q * g != p * c}
-    for i in extra:
-        offs = np.unravel_index(int(i), shape)
-        wrong[tuple(l + int(o) for l, o in zip(lo, offs))] = (0, int(acc[offs]))
-    mismatches = tuple(
-        (e, Fraction(p * c, q * det_adj), Fraction(g, det_adj))
-        for e, (c, g) in sorted(wrong.items())
-    )
-    return OracleReport(mismatches, lo, hi)
+    lo, hi = _plan(window, form)
+    found = certify(vm, form)
+    if found is None:
+        return OracleReport((), lo, hi)
+    if isinstance(found, LaurentPolynomial):
+        raise ValueError(
+            f"the factors must be B's row binomials, up to sign and order; {found!r} is not matched"
+        )
+    box = Window(lo, hi)
+    wrong = _differences(vm, form)
+    return OracleReport(tuple((e, *wrong[e]) for e in sorted(wrong) if box.contains(e)), lo, hi)
 
 
 def _shell_sum(
