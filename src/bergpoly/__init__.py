@@ -50,7 +50,6 @@ from .kernel import (
 from .laurent import LaurentPolynomial
 from .oracle import (
     OracleReport,
-    OracleSeries,
     Window,
     compare_with_closed_form,
     monomial_norm,

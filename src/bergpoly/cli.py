@@ -19,13 +19,13 @@ dim2, a matrix for sig1 or pz) as invalid input: exit 1.
 `verify` checks every point of the window together with the
 numerator's bounding box (the report's `safeBox`), so no window is too
 small.  It checks the form against the lattice-cone numerator N on all
-of Z^n (`oracle.certify`) and reads the mismatches in the box off N, so
-it never fills a window; --jobs N is accepted for N >= 1 and ignored.
+of Z^n, as `oracle.certify` does, and reads the mismatches in the box
+off N, so it never fills a window (the window fill is only the tests'
+plain reference); --jobs N is accepted for N >= 1 and ignored.
 A window whose oracle hull (the box widened by the squared denominator's
-exponent extents), or that hull twice, would take more than the
-oracle's budget of 2^31 bytes at 8 bytes a point is invalid input,
-whatever the form: exit 1 with one WindowTooLargeError line giving its
-point count and bytes.
+exponent extents) has more than the oracle's cap of 2^27 points is
+invalid input, whatever the form: exit 1 with one WindowTooLargeError
+line naming the hull and its point count.
 A numerator too large to enumerate in memory is invalid input too: exit
 1 with one NumeratorTooLargeError line.
 `eval --epsilon` is the modulus below which a denominator factor counts

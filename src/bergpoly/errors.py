@@ -30,7 +30,7 @@ class MatrixTooLargeError(InputError):
 
 
 class WindowTooLargeError(InputError):
-    """The oracle's window hull or comparison grid is too large to allocate."""
+    """The oracle's window hull is over its point cap, or a window fill cannot allocate it."""
 
 
 class NumeratorTooLargeError(InputError):

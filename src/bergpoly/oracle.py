@@ -54,9 +54,11 @@ point by point on a box, as a window comparison would, compares N's
 terms with the numerator's: with det^(n-1) * prefactor = p/q in lowest
 terms, e is a mismatch exactly when p * num(e) != q * N(e).  Only an
 exponent in the support of num or N can be one, so every point of the
-box is checked and no window is filled.  HULL_BUDGET_BYTES still limits
-the window: a window is refused by the size of the hull that a
-point-by-point product would fill, whatever the form.
+box is checked and no window is filled.  HULL_BUDGET_POINTS still caps
+the window: a window whose hull, the box a point-by-point product would
+fill, has more points is refused, whatever the form.  `oracle_series`
+fills a window straight from the norm formula; it is the tests' plain
+reference for the series, and no command calls it.
 """
 
 from __future__ import annotations
@@ -81,9 +83,11 @@ from .laurent import LaurentPolynomial
 # counts as settled
 CAUCHY_TOL = 1e-9
 
-# bytes a window's hull, and the hull with a second buffer of its size,
-# may count for (`_plan`); a window over it is refused whatever the form
-HULL_BUDGET_BYTES = 2**31
+# points a window's hull may have (`_plan`); a window over it is refused
+# whatever the form
+HULL_BUDGET_POINTS = 2**27
+# points `_shell_sum` sums in one block
+SLAB_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -127,42 +131,17 @@ def monomial_norm(vm: ValidatedMatrix, m: Sequence[int]) -> Fraction | None:
     return Fraction(det_adj, denom)
 
 
-class OracleSeries:
-    """Kernel coefficients (of pi^n K) on a window, stored densely as the
-    integer multiples det A * coefficient; admissible entries are >= 1."""
-
-    def __init__(self, vm: ValidatedMatrix, window: Window, scaled: np.ndarray):
-        self.vm = vm
-        self.window = window
-        self.det_adj = vm.det ** (vm.n - 1)
-        self._scaled = scaled
-
-    def coefficient(self, m: Sequence[int]) -> Fraction:
-        if not self.window.contains(m):
-            raise KeyError(f"{tuple(m)} outside the window")
-        idx = tuple(int(x) - l for x, l in zip(m, self.window.lower))
-        return Fraction(int(self._scaled[idx]), self.det_adj)
-
-    def items(self):
-        """(exponent, coefficient) for every admissible exponent, lex order."""
-        lower = self.window.lower
-        flat = self._scaled.reshape(-1)
-        shape = self._scaled.shape
-        for idx in np.nonzero(flat)[0]:
-            offs = np.unravel_index(int(idx), shape)
-            e = tuple(l + int(o) for l, o in zip(lower, offs))
-            yield e, Fraction(int(flat[idx]), self.det_adj)
-
-    def to_dict(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self.items())
-
-
-def oracle_series(vm: ValidatedMatrix, window: Window) -> OracleSeries:
-    """Exact kernel coefficients on the window, straight from the norm
-    formula (never from the closed form being tested)."""
+def oracle_series(vm: ValidatedMatrix, window: Window) -> dict[tuple[int, ...], Fraction]:
+    """Exact kernel coefficients (of pi^n K) at the window's admissible
+    exponents, in lexicographic order, straight from the norm formula
+    (never from the closed form being tested); every one is positive."""
+    det_adj = vm.det ** (vm.n - 1)
     adj_rows = [list(r) for r in vm.adj.rows]
     scaled = _backend.fill_products(adj_rows, window.lower, window.upper)
-    return OracleSeries(vm, window, scaled)
+    return {
+        tuple(l + int(o) for l, o in zip(window.lower, offs)): Fraction(int(scaled[offs]), det_adj)
+        for offs in zip(*np.nonzero(scaled))
+    }
 
 
 @dataclass(frozen=True)
@@ -248,20 +227,10 @@ def _differences(
     return {e: (Fraction(p * c, q * det_adj), Fraction(g, det_adj)) for e, (c, g) in wrong.items()}
 
 
-def certify(
-    vm: ValidatedMatrix, form: BergmanKernelForm
-) -> tuple[int, ...] | LaurentPolynomial | None:
-    """None when the form equals the series on all of Z^n.  Otherwise the
-    first factor of the form that is not one of B's row binomials
-    t^((b_-)^j) - t^((b_+)^j) (up to sign and order), or the first row
-    binomial no factor matches, or the least exponent, in lexicographic
-    order, where det^(n-1) * prefactor * numerator and N =
-    `cone_numerator(vm)` differ (`_differences`).
-
-    It reads only B, det B and adj B.  N costs at most det * 2^n dict
-    terms, the same order as the numerator that `assemble_kernel` has
-    already built for the form, so the certificate has no budget or
-    fallback of its own."""
+def _unmatched_factor(vm: ValidatedMatrix, form: BergmanKernelForm) -> LaurentPolynomial | None:
+    """The first factor of the form that is not one of B's row binomials
+    t^((b_-)^j) - t^((b_+)^j) (up to sign and order), or else the first
+    row binomial no factor matches; None when they match."""
     # +-(t^a - t^b) is known by {a, b}; a normalized row is nonzero, so
     # its two exponents differ
     rows = [(tuple(max(-x, 0) for x in r), tuple(max(x, 0) for x in r)) for r in vm.matrix.rows]
@@ -275,23 +244,35 @@ def certify(
     for a, b in rows:
         if unmatched[frozenset((a, b))]:
             return LaurentPolynomial(vm.n, {a: 1, b: -1})
+    return None
+
+
+def certify(
+    vm: ValidatedMatrix, form: BergmanKernelForm
+) -> tuple[int, ...] | LaurentPolynomial | None:
+    """None when the form equals the series on all of Z^n.  Otherwise the
+    factor `_unmatched_factor` names, or the least exponent, in
+    lexicographic order, where det^(n-1) * prefactor * numerator and N =
+    `cone_numerator(vm)` differ (`_differences`).
+
+    It reads only B, det B and adj B.  N costs at most det * 2^n dict
+    terms, the same order as the numerator that `assemble_kernel` has
+    already built for the form, so the certificate has no budget or
+    fallback of its own."""
+    factor = _unmatched_factor(vm, form)
+    if factor is not None:
+        return factor
     wrong = _differences(vm, form)
     return min(wrong) if wrong else None
 
 
-# bytes a point of the hull counts for: an int64 or an object pointer
-_HULL_ENTRY_BYTES = 8
-
-
 def _plan(window: Window, form: BergmanKernelForm):
     """The compared box lo..hi, the window together with the numerator's
-    bounding box.  WindowTooLargeError when its hull, the box widened by
-    the squared denominator's exponent extents (twice the sum over the
-    factors of their per-coordinate min/max exponents), has more than
-    HULL_BUDGET_BYTES at _HULL_ENTRY_BYTES a point, naming the hull, or
-    when the hull and a second buffer of its size together do, naming the
-    comparison grid.  Nothing is filled, so the refusal depends on the
-    window's size alone."""
+    bounding box.  WindowTooLargeError naming the hull when its hull, the
+    box widened by the squared denominator's exponent extents (twice the
+    sum over the factors of their per-coordinate min/max exponents), has
+    more than HULL_BUDGET_POINTS points.  Nothing is filled, so the
+    refusal depends on the window's size alone."""
     num = form.numerator
     lo = tuple(min(w, e) for w, e in zip(window.lower, num.min_exponents()))
     hi = tuple(max(w, e) for w, e in zip(window.upper, num.max_exponents()))
@@ -301,18 +282,10 @@ def _plan(window: Window, form: BergmanKernelForm):
     hull_hi = tuple(h - d for h, d in zip(hi, dmin))
 
     hull_points = math.prod(h - l + 1 for l, h in zip(hull_lo, hull_hi))
-    hull_bytes = hull_points * _HULL_ENTRY_BYTES
-    if hull_bytes > HULL_BUDGET_BYTES:
+    if hull_points > HULL_BUDGET_POINTS:
         raise WindowTooLargeError(
-            f"the oracle hull {hull_lo}..{hull_hi} has {hull_points} points and needs "
-            f"{hull_bytes} bytes, more than the oracle's budget of {HULL_BUDGET_BYTES} bytes"
-        )
-    if 2 * hull_bytes > HULL_BUDGET_BYTES:
-        points = math.prod(h - l + 1 for l, h in zip(lo, hi))
-        raise WindowTooLargeError(
-            f"the oracle comparison grid {lo}..{hi} has {points} points; "
-            f"multiplying the hull by the denominator needs {hull_bytes} bytes beside "
-            f"the hull's {hull_bytes} bytes, more than the oracle's budget of {HULL_BUDGET_BYTES} bytes"
+            f"the oracle hull {hull_lo}..{hull_hi} has {hull_points} points, "
+            f"more than the oracle's cap of {HULL_BUDGET_POINTS} points"
         )
     return lo, hi
 
@@ -327,24 +300,21 @@ def compare_with_closed_form(
     and report the mismatches there, closed form first, as coefficients of
     the series times the squared denominator, in lexicographic order.
 
-    The window's sizes are checked first (`_plan`), so a window over
-    HULL_BUDGET_BYTES is refused with WindowTooLargeError whatever the
-    form.  Then `certify` checks the form on all of Z^n: when it holds,
-    every point of the box matches.  A form whose factors are not B's row
-    binomials, up to sign and order, is a ValueError naming the factor
-    `certify` names.  Otherwise det^(n-1) times the series times the
-    squared denominator is N at every exponent, so the mismatches are the
-    differences from N (`_differences`) that lie in the box; no window is
-    filled."""
+    The window's size is checked first (`_plan`), so a window whose hull
+    has more than HULL_BUDGET_POINTS points is refused with
+    WindowTooLargeError whatever the form.  A form whose factors are not
+    B's row binomials, up to sign and order, is a ValueError naming the
+    factor `_unmatched_factor` names.  Otherwise det^(n-1) times the
+    series times the squared denominator is N at every exponent, so the
+    mismatches are the differences from N (`_differences`) that lie in
+    the box; a form `certify` accepts has none, and no window is filled."""
     if form is None:
         form = assemble_kernel(vm)
     lo, hi = _plan(window, form)
-    found = certify(vm, form)
-    if found is None:
-        return OracleReport((), lo, hi)
-    if isinstance(found, LaurentPolynomial):
+    factor = _unmatched_factor(vm, form)
+    if factor is not None:
         raise ValueError(
-            f"the factors must be B's row binomials, up to sign and order; {found!r} is not matched"
+            f"the factors must be B's row binomials, up to sign and order; {factor!r} is not matched"
         )
     box = Window(lo, hi)
     wrong = _differences(vm, form)
@@ -380,7 +350,7 @@ def _shell_sum(
     for first, rest in ((axis[lo:], tail), (axis[:lo], tail[tail.max(axis=1) > lo])):
         rest_b = rest @ b[1:]
         rest_weight = rest.astype(np.float64).prod(axis=1)
-        rows = max(1, _backend.SLAB_POINTS // max(1, len(rest)))
+        rows = max(1, SLAB_POINTS // max(1, len(rest)))
         for s in range(0, len(first), rows):
             y0 = first[s : s + rows]
             yb = y0[:, None, None] * b[0] + rest_b[None]

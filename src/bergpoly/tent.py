@@ -54,8 +54,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ._backend import _INT64_SAFE, _MAX_BYTES
 from .errors import InvalidKError, NumeratorTooLargeError
+
+_INT64_SAFE = 2**62
+# numpy's limit on the bytes of one array
+_MAX_BYTES = np.iinfo(np.intp).max
 
 
 def tent(k: int, r: int) -> int:

@@ -260,13 +260,12 @@ class TestVerify:
 
     def test_oversized_window_is_input_error(self):
         # Under a 3 GB address space limit, the 5x5 hull at radius 40 (about
-        # 40 GB) cannot be allocated; at radius 19 the hull (1.5 GB) fits
-        # but the comparison's second hull-sized buffer does not.  Both are
-        # refused by the oracle's byte budget before anything is filled,
-        # each with one typed line.  One OpenBLAS thread keeps the address
-        # space its thread pool takes out of the result.
+        # 5e9 points) and at radius 19 (about 2e8 points) are both over the
+        # oracle's point cap and refused before anything is filled, each
+        # with one typed line.  One OpenBLAS thread keeps the address space
+        # its thread pool takes out of the result.
         matrix = "2 -1 0 0 0 / 0 2 -1 0 0 / 0 0 2 -1 0 / 0 0 0 2 -1 / -1 0 0 0 2"
-        for window, stage in (("40", "the oracle hull"), ("19", "the oracle comparison grid")):
+        for window, stage in (("40", "the oracle hull"), ("19", "the oracle hull")):
             proc = run_limited(3 * 10**9, "verify", "--matrix", matrix, "--window", window,
                                OPENBLAS_NUM_THREADS="1")
             assert proc.returncode == 1
@@ -277,9 +276,9 @@ class TestVerify:
             assert "Traceback" not in proc.stderr
 
     def test_budget_refuses_before_any_fill(self, capsys, monkeypatch):
-        # the oracle's byte budget is checked before the window is filled, so
+        # the oracle's point cap is checked before the window is filled, so
         # the refusal does not depend on the host's memory; a correct form
-        # within the budget is certified without a fill
+        # within the cap is certified without a fill
         def no_fill(*args, **kwargs):
             raise AssertionError("the window was filled")
 
@@ -289,17 +288,17 @@ class TestVerify:
                    "0 0 0 0 2 -1 / -1 0 0 0 0 2")
         # the 3x3 with large entries is refused at its own default radius, 240
         for matrix, window, stage in (
-            (cyclic5, ("--window", "19"), "the oracle comparison grid"),
+            (cyclic5, ("--window", "19"), "the oracle hull"),
             (cyclic5, ("--window", "40"), "the oracle hull"),
             ("1 0 / 0 1", ("--window", "3000000000"), "the oracle hull"),
-            ("40 -39 0 / 0 40 -39 / -39 0 40", (), "the oracle comparison grid"),
+            ("40 -39 0 / 0 40 -39 / -39 0 40", (), "the oracle hull"),
         ):
             code, out, err = run(capsys, "verify", "--matrix", matrix, *window)
             assert code == 1 and out == ""
             lines = err.splitlines()
             assert len(lines) == 1
             assert lines[0].startswith("WindowTooLargeError: " + stage)
-            assert lines[0].endswith(f"budget of {oracle.HULL_BUDGET_BYTES} bytes")
+            assert lines[0].endswith(f"cap of {oracle.HULL_BUDGET_POINTS} points")
         for matrix, window, checked in ((cyclic5, (), 25**5), (cyclic6, ("--window", "5"), 11**6)):
             code, out, _ = run(capsys, "verify", "--matrix", matrix, *window)
             assert code == 0 and json.loads(out)["checked"] == checked

@@ -16,6 +16,7 @@ from bergpoly import (
     IntMatrix,
     NonConvergentError,
     Window,
+    WindowTooLargeError,
     assemble_kernel,
     compare_with_closed_form,
     monomial_norm,
@@ -117,13 +118,13 @@ class TestOracleSeries:
     def test_polydisc_linear_coefficient(self):
         vm = prepare(IntMatrix.identity(3))
         series = oracle_series(vm, Window.cube(3, 3))
-        assert series.coefficient((1, 0, 0)) == 2  # 1/(1-t)^2 = sum (k+1) t^k
+        assert series.get((1, 0, 0), 0) == 2  # 1/(1-t)^2 = sum (k+1) t^k
 
     def test_hartogs_values(self, hartogs_vm):
         series = oracle_series(hartogs_vm, Window.cube(2, 4))
-        assert series.coefficient((0, 0)) == 2
-        assert series.coefficient((1, 0)) == 6
-        assert series.coefficient((-1, 0)) == 0
+        assert series.get((0, 0), 0) == 2
+        assert series.get((1, 0), 0) == 6
+        assert series.get((-1, 0), 0) == 0
 
     def test_positivity_and_denominator(self, sweep_family):
         for vm in sweep_family[:20]:
@@ -135,15 +136,15 @@ class TestOracleSeries:
                 assert c * monomial_norm(vm, m) == 1  # reciprocal norms
 
     def test_window_monotonicity(self, worked_vm):
-        small = oracle_series(worked_vm, Window.cube(2, 3)).to_dict()
-        large = oracle_series(worked_vm, Window.cube(2, 6)).to_dict()
+        small = oracle_series(worked_vm, Window.cube(2, 3))
+        large = oracle_series(worked_vm, Window.cube(2, 6))
         for m, c in small.items():
             assert large[m] == c
 
     def test_parseval_constant(self, sweep_family):
         for vm in sweep_family[:15]:
             series = oracle_series(vm, Window.cube(vm.n, 1))
-            assert series.coefficient((0,) * vm.n) == 1 / monomial_norm(
+            assert series.get((0,) * vm.n, 0) == 1 / monomial_norm(
                 vm, (0,) * vm.n
             )
 
@@ -417,6 +418,26 @@ class TestCorruptedFormReport:
         got = compare_with_closed_form(worked_vm, window, form=form)
         assert got == compare_uncut(worked_vm, window, form=form)
         assert [e for e, _, _ in got.mismatches] == [(-9, -8)]
+
+    def test_builds_the_cone_numerator_once(self, worked_vm):
+        form = _with_term(assemble_kernel(worked_vm), (1, 1), 5)
+        with mock.patch.object(oracle, "cone_numerator", wraps=oracle.cone_numerator) as cone:
+            got = compare_with_closed_form(worked_vm, Window.cube(2, 3), form=form)
+        assert [e for e, _, _ in got.mismatches] == [(1, 1)]
+        assert cone.call_count == 1
+
+
+def test_window_cap_at_its_edge():
+    # the identity's hull is the compared box widened by 2 below on each
+    # axis: (-2, -2)..(2^14 - 3, 2^13 - 3) has exactly 2^27 points, and
+    # one more row is over the cap
+    assert oracle.HULL_BUDGET_POINTS == 2**27
+    vm = prepare(IntMatrix.identity(2))
+    with _no_fill():
+        rep = compare_with_closed_form(vm, Window.of((0, 0), (2**14 - 3, 2**13 - 3)))
+        assert rep.ok and rep.checked == 134168580
+        with pytest.raises(WindowTooLargeError, match=r"^the oracle hull .* has 134225920 points"):
+            compare_with_closed_form(vm, Window.of((0, 0), (2**14 - 2, 2**13 - 3)))
 
 
 @pytest.mark.parametrize(
