@@ -52,19 +52,16 @@ from .oracle import (
     OracleReport,
     Window,
     compare_with_closed_form,
-    monomial_norm,
     numeric_spot_check,
     oracle_series,
 )
 from .special import (
     GeneralizedHartogsSpec,
     SignatureOneSpec,
-    chain_weight,
     kernel_dim2,
     kernel_generalized_hartogs,
     kernel_signature_one,
     kernel_unimodular,
 )
-from .tent import tent_coefficients
 
 __version__ = "0.1.0"

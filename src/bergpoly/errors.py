@@ -26,7 +26,7 @@ class AllZeroRowError(InputError):
 
 
 class MatrixTooLargeError(InputError):
-    """Dimension exceeds the configured cap (BERGPOLY_MAX_N, default 16)."""
+    """A user matrix has more rows than the fixed cap of 16 (int_linalg.MAX_N)."""
 
 
 class WindowTooLargeError(InputError):

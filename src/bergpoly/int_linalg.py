@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -33,16 +32,9 @@ from .errors import (
     UnboundedDomainError,
 )
 
-DEFAULT_MAX_N = 16
-
-
-def max_dimension() -> int:
-    """Dimension cap; the numerator box enumeration is exponential in n."""
-    raw = os.environ.get("BERGPOLY_MAX_N", "")
-    try:
-        return int(raw) if raw else DEFAULT_MAX_N
-    except ValueError:
-        return DEFAULT_MAX_N
+# largest dimension a user matrix may have; the numerator's enumeration is
+# exponential in n
+MAX_N = 16
 
 
 class IntMatrix:
@@ -55,10 +47,8 @@ class IntMatrix:
         n = len(tup)
         if n < 2:
             raise ValueError("matrix must be at least 2x2")
-        if n > max_dimension():
-            raise MatrixTooLargeError(
-                f"n={n} exceeds the cap {max_dimension()} (set BERGPOLY_MAX_N to raise it)"
-            )
+        if n > MAX_N:
+            raise MatrixTooLargeError(f"n={n} exceeds the cap {MAX_N}")
         if any(len(r) != n for r in tup):
             raise ValueError("matrix must be square")
         object.__setattr__(self, "rows", tup)
@@ -81,30 +71,9 @@ class IntMatrix:
     def entry(self, j: int, k: int) -> int:
         return self.rows[j][k]
 
-    def row(self, j: int) -> tuple[int, ...]:
-        return self.rows[j]
-
     def column_abs_sums(self) -> tuple[int, ...]:
         """(1|B|)_k for each column k, with |B| the entrywise absolute value."""
         return tuple(sum(abs(r[k]) for r in self.rows) for k in range(self.n))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows))
-
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        cols = other.transpose().rows
-        return IntMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(r, c)) for c in cols) for r in self.rows)
-        )
-
-    def scaled(self, factor: int) -> "IntMatrix":
-        return IntMatrix(tuple(tuple(factor * x for x in r) for r in self.rows))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntMatrix) and self.rows == other.rows
@@ -153,25 +122,13 @@ def determinant(m: IntMatrix) -> int:
 
 
 def adjugate(m: IntMatrix) -> IntMatrix:
-    """Transposed cofactor matrix: adj(M)[j][k] = (-1)^(j+k) det(M minus row k, col j).
-
-    Satisfies M @ adj(M) = det(M) * I exactly, for singular M included:
-    when the elimination finds no pivot (det M = 0), the entries come from
-    the n^2 minors instead.
-    """
+    """Transposed cofactor matrix: adj(M)[j][k] = (-1)^(j+k) det(M minus row k, col j),
+    by the elimination of _eliminate; M @ adj(M) = det(M) * I.
+    SingularMatrixError when det M = 0."""
     adj = _eliminate(m)[1]
-    if adj is not None:
-        return adj
-    n = m.n
-
-    def minor(row, col):
-        return IntMatrix._from_rows(tuple(
-            tuple(x for c, x in enumerate(r) if c != col) for i, r in enumerate(m.rows) if i != row
-        ))
-
-    return IntMatrix._from_rows(tuple(
-        tuple((-1) ** (j + k) * determinant(minor(k, j)) for k in range(n)) for j in range(n)
-    ))
+    if adj is None:
+        raise SingularMatrixError("det = 0: adjugate takes a regular matrix only")
+    return adj
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -8,9 +8,12 @@ scalars such as the prefactor live beside the polynomials.  The canonical
 term order is lexicographic on the exponent tuple; serialization,
 equality and evaluation all follow it.
 
-`binomial()` is the one parser of a factor +-(t^a - t^b).  Divisibility
-by such a factor is decided by the total coefficient sum when it is
-nonzero, else by coset sums in O(terms * n): this is the canonicity check.
+The class has no ring arithmetic: the package builds polynomials from
+term maps and only negates, compares, tests for binomial divisibility
+and evaluates them.  `binomial()` is the one parser of a factor
++-(t^a - t^b).  Divisibility by such a factor is decided by the total
+coefficient sum when it is nonzero, else by coset sums in O(terms * n):
+this is the canonicity check.
 """
 
 from __future__ import annotations
@@ -64,14 +67,6 @@ class LaurentPolynomial:
         return self
 
     @classmethod
-    def zero(cls, n: int) -> "LaurentPolynomial":
-        return cls(n)
-
-    @classmethod
-    def one(cls, n: int) -> "LaurentPolynomial":
-        return cls(n, {(0,) * n: 1})
-
-    @classmethod
     def monomial(cls, n: int, coeff, exponent: Sequence[int]) -> "LaurentPolynomial":
         return cls(n, {tuple(exponent): coeff})
 
@@ -82,9 +77,6 @@ class LaurentPolynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def coefficient(self, exponent: Sequence[int]) -> int:
-        return self._terms.get(tuple(exponent), 0)
 
     def items(self):
         return self._terms.items()
@@ -112,49 +104,8 @@ class LaurentPolynomial:
             return -self
         return self
 
-    # -- ring operations ---------------------------------------------------
-
-    def _check(self, other: "LaurentPolynomial"):
-        if self.n != other.n:
-            raise DimensionMismatchError(f"{self.n} variables vs {other.n}")
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        self._check(other)
-        out = dict(self._terms)
-        for e, c in other._terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPolynomial._from_clean(self.n, out)
-
     def __neg__(self) -> "LaurentPolynomial":
         return LaurentPolynomial._from_clean(self.n, {e: -c for e, c in self._terms.items()})
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "LaurentPolynomial":
-        if not isinstance(other, LaurentPolynomial):
-            return self.scaled(other)
-        self._check(other)
-        out: dict[Exponent, int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPolynomial._from_clean(self.n, out)
-
-    def __rmul__(self, other: int) -> "LaurentPolynomial":
-        return self.scaled(other)
-
-    def scaled(self, factor: int) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.n, {e: c * factor for e, c in self._terms.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -194,7 +145,8 @@ class LaurentPolynomial:
         coset arithmetic; only a polynomial whose coefficients total zero
         (a multiple of f, or a corrupted numerator) runs the coset sums.
         """
-        self._check(f)
+        if self.n != f.n:
+            raise DimensionMismatchError(f"{self.n} variables vs {f.n}")
         a, b = f.binomial()
         if sum(self._terms.values()):
             return False

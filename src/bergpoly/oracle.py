@@ -115,22 +115,6 @@ class Window:
         return all(l <= x <= u for l, x, u in zip(self.lower, m, self.upper))
 
 
-def monomial_norm(vm: ValidatedMatrix, m: Sequence[int]) -> Fraction | None:
-    """Squared L^2 norm of z^m on the domain, in units of pi^n; None when
-    the monomial is not square-integrable ((m+1) adj B has an entry < 1)."""
-    y = [
-        sum((int(m[i]) + 1) * vm.adj.entry(i, j) for i in range(vm.n))
-        for j in range(vm.n)
-    ]
-    if any(v < 1 for v in y):
-        return None
-    det_adj = vm.det ** (vm.n - 1)
-    denom = 1
-    for v in y:
-        denom *= v
-    return Fraction(det_adj, denom)
-
-
 def oracle_series(vm: ValidatedMatrix, window: Window) -> dict[tuple[int, ...], Fraction]:
     """Exact kernel coefficients (of pi^n K) at the window's admissible
     exponents, in lexicographic order, straight from the norm formula
@@ -236,8 +220,10 @@ def _unmatched_factor(vm: ValidatedMatrix, form: BergmanKernelForm) -> LaurentPo
     rows = [(tuple(max(-x, 0) for x in r), tuple(max(x, 0) for x in r)) for r in vm.matrix.rows]
     unmatched = Counter(frozenset(ab) for ab in rows)
     for f in form.factors:
-        unit = sorted(c for _, c in f.items()) == [-1, 1]
-        key = frozenset(e for e, _ in f.items()) if unit else None
+        try:
+            key = frozenset(f.binomial())
+        except ValueError:
+            key = None
         if not unmatched[key]:
             return f
         unmatched[key] -= 1

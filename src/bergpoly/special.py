@@ -18,6 +18,9 @@ matrix as factor j, as the general assembly does.  The last two formulas
 come out in their own scalings (prefactors 1/L and 1/P^(n-1));
 comparisons against the general form go through
 BergmanKernelForm.canonicalized(), which folds the numerator's content.
+Those two enumerate their numerators with tent_product_over_box; the
+pointwise coefficient formulas that the tests hold the enumerations to
+are kept with the tests, in tests/_reference.py.
 """
 
 from __future__ import annotations
@@ -26,16 +29,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    GcdViolationError,
-    InvalidKError,
-    NotUnimodularError,
-    WrongDimensionError,
-)
+from .errors import GcdViolationError, NotUnimodularError, WrongDimensionError
 from .int_linalg import IntMatrix, ValidatedMatrix, prepare
 from .kernel import BergmanKernelForm
 from .laurent import LaurentPolynomial
-from .tent import tent, tent_product_over_box
+from .tent import tent_product_over_box
 
 
 # -- det B = 1 -----------------------------------------------------------
@@ -141,19 +139,6 @@ def _signature_data(spec: SignatureOneSpec):
     return big_k, ell, big_l
 
 
-def signature_coefficient(spec: SignatureOneSpec, nu) -> int:
-    """Numerator coefficient E(nu) of the signature-one formula."""
-    k = spec.k
-    n = len(k)
-    big_k, ell, _ = _signature_data(spec)
-    out = tent(big_k, 2 * big_k - ell[0] * (nu[0] + 1) - 1)
-    for j in range(1, n):
-        out *= tent(ell[j], ell[j] * (nu[j] + 1) + ell[0] * (nu[0] + 1) - 2 * big_k - 1)
-        if out == 0:
-            return 0
-    return out
-
-
 def kernel_signature_one(spec: SignatureOneSpec) -> BergmanKernelForm:
     """Kernel with prefactor 1/(pi^n L), numerator sum E(nu) t^nu and
     denominator (prod_{j>=2} t_j^{k_j} - t_1^{k_1})^2 prod_{j>=2}(1-t_j)^2."""
@@ -207,19 +192,6 @@ class GeneralizedHartogsSpec:
             raise GcdViolationError(f"gcd{self.p} != 1")
 
 
-def chain_weight(m: int, value: int) -> int:
-    """Piecewise weight of the chain-domain formula: value-1 on
-    [2, m+1], 2m-value+1 on [m+2, 2m], zero outside; equals
-    tent(m, value-2) everywhere."""
-    if m < 1:
-        raise InvalidKError(f"m must be >= 1, got {m}")
-    if 2 <= value <= m + 1:
-        return value - 1
-    if m + 2 <= value <= 2 * m:
-        return 2 * m - value + 1
-    return 0
-
-
 def _chain_data(spec: GeneralizedHartogsSpec):
     p = spec.p
     n = len(p)
@@ -245,29 +217,6 @@ def chain_matrix(spec: GeneralizedHartogsSpec) -> IntMatrix:
             row[j + 1] = -(p[j + 1] // d[j])
         rows.append(row)
     return IntMatrix(rows)
-
-
-def chain_prefix_values(spec: GeneralizedHartogsSpec, alpha) -> list[int]:
-    """The recursion P_1 = 2 m_1 - p'_1 + 1 - p'_1 a_1,
-    P_j = 2 m_j - p'_j - p'_j a_j + P_{j-1}."""
-    _, pprime, _, m = _chain_data(spec)
-    out = []
-    prev = 1
-    for j, a in enumerate(alpha):
-        prev = 2 * m[j] - pprime[j] - pprime[j] * int(a) + prev
-        out.append(prev)
-    return out
-
-
-def chain_coefficient(spec: GeneralizedHartogsSpec, alpha) -> int:
-    """prod_j weight(m_j, P_j(alpha)) for the chain-domain numerator."""
-    _, _, _, m = _chain_data(spec)
-    out = 1
-    for j, value in enumerate(chain_prefix_values(spec, alpha)):
-        out *= chain_weight(m[j], value)
-        if out == 0:
-            return 0
-    return out
 
 
 def chain_bounds(spec: GeneralizedHartogsSpec) -> tuple[int, ...]:

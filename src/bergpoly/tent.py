@@ -73,19 +73,6 @@ def tent(k: int, r: int) -> int:
     return 0
 
 
-def tent_coefficients(k: int) -> list[int]:
-    """Independent oracle: expand (1 + x + ... + x^(k-1))^2 by convolution
-    and return the coefficients of x^0 .. x^(2k-2)."""
-    if k < 1:
-        raise InvalidKError(f"k must be >= 1, got {k}")
-    box = [1] * k
-    out = [0] * (2 * k - 1)
-    for i, a in enumerate(box):
-        for j, b in enumerate(box):
-            out[i + j] += a * b
-    return out
-
-
 def _dtype(lower, upper, ks, weights, offsets) -> type:
     """object when the bound of the module docstring reaches 2**62, else int64."""
     reach = [max(abs(lo), abs(hi)) for lo, hi in zip(lower, upper)]
@@ -102,8 +89,8 @@ def tent_product_over_box(
     offsets: Sequence[int],
 ) -> dict[tuple[int, ...], int]:
     """The nonzero values of prod_j tent(ks[j], (v @ weights)_j + offsets[j])
-    over the box lower <= v <= upper, keyed by v in lexicographic order.
-    weights has one row per box coordinate and one column per factor; the
+    over the box lower <= v <= upper, of at least one coordinate, keyed by v
+    in lexicographic order.  weights has one row per box coordinate and one column per factor; the
     enumeration and its dtype are described in the module docstring."""
     lower, upper, ks, offsets = (list(map(int, s)) for s in (lower, upper, ks, offsets))
     m = len(ks)
@@ -117,9 +104,6 @@ def tent_product_over_box(
         return {}
 
     n = len(lower)
-    if not n:
-        value = math.prod(map(tent, ks, offsets))
-        return {(): value} if value else {}
     dtype = _dtype(lower, upper, ks, weights, offsets)
     # bounds[i] holds, per argument column and then the always-0 column,
     # s = sign(w), -s, p, q + d and d = |w|: a prefix with centred

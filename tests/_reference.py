@@ -1,14 +1,75 @@
 """Slow, obviously correct references that the tests compare the package
-against."""
+against: pointwise formulas for single coefficients, and the plain
+polynomial and matrix arithmetic that the tests build expected values
+with."""
 
+import functools
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
-from bergpoly import DimensionMismatchError, LaurentPolynomial
+from bergpoly import DimensionMismatchError, IntMatrix, InvalidKError, LaurentPolynomial
 from bergpoly import _backend
+from bergpoly.int_linalg import ValidatedMatrix
 from bergpoly.kernel import assemble_kernel
 from bergpoly.oracle import OracleReport
+from bergpoly.special import (
+    GeneralizedHartogsSpec,
+    SignatureOneSpec,
+    _chain_data,
+    _signature_data,
+)
+from bergpoly.tent import tent
+
+
+def add(*polys: LaurentPolynomial) -> LaurentPolynomial:
+    """The sum, through the checking constructor: a term with another
+    number of variables raises DimensionMismatchError."""
+    terms = {}
+    for p in polys:
+        for e, c in p.items():
+            terms[e] = terms.get(e, 0) + c
+    return LaurentPolynomial(polys[0].n, terms)
+
+
+def mul(*polys: LaurentPolynomial) -> LaurentPolynomial:
+    """The product, every pair of terms multiplied out."""
+    n = polys[0].n
+    terms = {(0,) * n: 1}
+    for p in polys:
+        out = {}
+        for e1, c1 in terms.items():
+            for e2, c2 in p.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        terms = out
+    return LaurentPolynomial(n, terms)
+
+
+def scaled(p: LaurentPolynomial, k: int) -> LaurentPolynomial:
+    return LaurentPolynomial(p.n, {e: k * c for e, c in p.items()})
+
+
+def one(n: int) -> LaurentPolynomial:
+    return LaurentPolynomial.monomial(n, 1, (0,) * n)
+
+
+def identity(n: int) -> IntMatrix:
+    return IntMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matmul(*ms: IntMatrix) -> IntMatrix:
+    """The matrix product, left to right."""
+    return functools.reduce(
+        lambda a, b: IntMatrix([[sum(x * y for x, y in zip(r, c)) for c in zip(*b.rows)]
+                                for r in a.rows]),
+        ms,
+    )
+
+
+def transpose(m: IntMatrix) -> IntMatrix:
+    return IntMatrix(zip(*m.rows))
 
 
 def try_exact_divide(num: LaurentPolynomial, divisor: LaurentPolynomial):
@@ -28,7 +89,7 @@ def try_exact_divide(num: LaurentPolynomial, divisor: LaurentPolynomial):
     if divisor.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if num.is_zero():
-        return LaurentPolynomial.zero(num.n)
+        return LaurentPolynomial(num.n)
     s_num = num.min_exponents()
     s_div = divisor.min_exponents()
     work = {tuple(a - b for a, b in zip(e, s_num)): c for e, c in num.items()}
@@ -91,11 +152,90 @@ def compare_uncut(vm, window, form=None):
                 for a, c in terms
             )
     assert acc.shape == tuple(h - l + 1 for l, h in zip(lo, hi))
+    coefficients = dict(num.items())
     mismatches = []
     for offs in np.ndindex(acc.shape):
         e = tuple(l + o for l, o in zip(lo, offs))
-        c = int(num.coefficient(e))
+        c = coefficients.get(e, 0)
         g = int(acc[offs])
         if q * g != p * c:
             mismatches.append((e, Fraction(p * c, q * det_adj), Fraction(g, det_adj)))
     return OracleReport(tuple(mismatches), lo, hi)
+
+
+def monomial_norm(vm: ValidatedMatrix, m: Sequence[int]) -> Fraction | None:
+    """Squared L^2 norm of z^m on the domain, in units of pi^n; None when
+    the monomial is not square-integrable ((m+1) adj B has an entry < 1)."""
+    y = [
+        sum((int(m[i]) + 1) * vm.adj.entry(i, j) for i in range(vm.n))
+        for j in range(vm.n)
+    ]
+    if any(v < 1 for v in y):
+        return None
+    det_adj = vm.det ** (vm.n - 1)
+    denom = 1
+    for v in y:
+        denom *= v
+    return Fraction(det_adj, denom)
+
+
+def tent_coefficients(k: int) -> list[int]:
+    """Independent oracle: expand (1 + x + ... + x^(k-1))^2 by convolution
+    and return the coefficients of x^0 .. x^(2k-2)."""
+    if k < 1:
+        raise InvalidKError(f"k must be >= 1, got {k}")
+    box = [1] * k
+    out = [0] * (2 * k - 1)
+    for i, a in enumerate(box):
+        for j, b in enumerate(box):
+            out[i + j] += a * b
+    return out
+
+
+def signature_coefficient(spec: SignatureOneSpec, nu) -> int:
+    """Numerator coefficient E(nu) of the signature-one formula."""
+    k = spec.k
+    n = len(k)
+    big_k, ell, _ = _signature_data(spec)
+    out = tent(big_k, 2 * big_k - ell[0] * (nu[0] + 1) - 1)
+    for j in range(1, n):
+        out *= tent(ell[j], ell[j] * (nu[j] + 1) + ell[0] * (nu[0] + 1) - 2 * big_k - 1)
+        if out == 0:
+            return 0
+    return out
+
+
+def chain_weight(m: int, value: int) -> int:
+    """Piecewise weight of the chain-domain formula: value-1 on
+    [2, m+1], 2m-value+1 on [m+2, 2m], zero outside; equals
+    tent(m, value-2) everywhere."""
+    if m < 1:
+        raise InvalidKError(f"m must be >= 1, got {m}")
+    if 2 <= value <= m + 1:
+        return value - 1
+    if m + 2 <= value <= 2 * m:
+        return 2 * m - value + 1
+    return 0
+
+
+def chain_prefix_values(spec: GeneralizedHartogsSpec, alpha) -> list[int]:
+    """The recursion P_1 = 2 m_1 - p'_1 + 1 - p'_1 a_1,
+    P_j = 2 m_j - p'_j - p'_j a_j + P_{j-1}."""
+    _, pprime, _, m = _chain_data(spec)
+    out = []
+    prev = 1
+    for j, a in enumerate(alpha):
+        prev = 2 * m[j] - pprime[j] - pprime[j] * int(a) + prev
+        out.append(prev)
+    return out
+
+
+def chain_coefficient(spec: GeneralizedHartogsSpec, alpha) -> int:
+    """prod_j weight(m_j, P_j(alpha)) for the chain-domain numerator."""
+    _, _, _, m = _chain_data(spec)
+    out = 1
+    for j, value in enumerate(chain_prefix_values(spec, alpha)):
+        out *= chain_weight(m[j], value)
+        if out == 0:
+            return 0
+    return out

@@ -22,6 +22,8 @@ from bergpoly.int_linalg import (
 )
 from bergpoly.special import GeneralizedHartogsSpec, SignatureOneSpec
 
+from _reference import identity, matmul, transpose
+
 
 def valid_2x2_family(max_abs: int = 4, max_det: int = 8) -> list[ValidatedMatrix]:
     """Exhaustive: every normalized valid 2x2 matrix with |entries| <= max_abs
@@ -100,11 +102,11 @@ def unimodular_family(n: int, count: int, seed: int = 7) -> list[ValidatedMatrix
     seen = set()
     out: list[ValidatedMatrix] = []
     while len(out) < count:
-        m = IntMatrix.identity(n)
+        m = identity(n)
         for _ in range(rng.randint(1, 3)):
-            m = m @ _random_triangular_unimodular(n, rng)
+            m = matmul(m, _random_triangular_unimodular(n, rng))
         p = _permutation_matrix(n, rng)
-        m = p @ m @ p.transpose()
+        m = matmul(p, m, transpose(p))
         if m.rows in seen:
             continue
         seen.add(m.rows)
@@ -139,9 +141,9 @@ def valid_family(n: int, count: int, seed: int = 11, max_det: int = 8) -> list[V
                     rows[i][j] = -rng.randint(0, 2)
         m = IntMatrix(rows)
         if rng.random() < 0.5:
-            m = m @ _random_triangular_unimodular(n, rng)
+            m = matmul(m, _random_triangular_unimodular(n, rng))
         p = _permutation_matrix(n, rng)
-        m = p @ m @ p.transpose()
+        m = matmul(p, m, transpose(p))
         try:
             vm = prepare(m)
         except InputError:

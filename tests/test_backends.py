@@ -43,12 +43,12 @@ def test_python_matches_reference(adj, lo, hi):
     assert_matches_reference(adj, lo, hi)
 
 
-def test_several_slabs_match_reference():
+def test_41_cubed_box_matches_reference():
     adj, lo, hi = [[2, 1, 0], [1, 1, 1], [0, 0, 3]], (-20, -20, -20), (20, 20, 20)
     assert_matches_reference(adj, lo, hi)
 
 
-def test_planes_larger_than_a_slab_match_reference():
+def test_2_by_257_by_257_box_matches_reference():
     # 257^2 points behind each of the two first-axis values
     adj, lo, hi = [[2, 1, 0], [1, 1, 1], [0, 0, 3]], (-1, -128, -128), (0, 128, 128)
     ref = reference_fill(adj, lo, hi)

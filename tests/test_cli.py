@@ -64,16 +64,19 @@ class TestValidate:
         assert code == 0 and json.loads(out)["valid"]
 
     def test_dimension_cap_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("BERGPOLY_MAX_N", "2")
-        code, _, err = run(capsys, "validate", "--matrix", "1 0 0 / 0 1 0 / 0 0 1")
+        # the cap is fixed; the environment variable that once raised it is
+        # not read
+        monkeypatch.setenv("BERGPOLY_MAX_N", "20")
+        eye17 = " / ".join(" ".join(str(int(i == j)) for j in range(17)) for i in range(17))
+        code, _, err = run(capsys, "validate", "--matrix", eye17)
         assert code == 1 and "cap" in err
 
 
 class TestDimensionCap:
     """Every matrix a user supplies, in any form and to any command, meets
-    the BERGPOLY_MAX_N cap: MatrixTooLargeError, exit code 1."""
+    the fixed cap of 16: MatrixTooLargeError, exit code 1."""
 
-    EYE4 = [[int(i == j) for j in range(4)] for i in range(4)]
+    EYE17 = [[int(i == j) for j in range(17)] for i in range(17)]
 
     @pytest.mark.parametrize(
         "command",
@@ -81,32 +84,30 @@ class TestDimensionCap:
             ("validate",),
             ("kernel",),
             ("verify",),
-            ("eval", "--point-p", "0.1,0.1,0.1,0.1"),
+            ("eval", "--point-p", ",".join(["0.1"] * 17)),
             ("special", "--family", "det1"),
             ("special", "--family", "dim2"),
         ],
     )
     @pytest.mark.parametrize("form", ["inline", "file", "json"])
-    def test_matrix_inputs(self, capsys, monkeypatch, tmp_path, command, form):
-        monkeypatch.setenv("BERGPOLY_MAX_N", "3")
+    def test_matrix_inputs(self, capsys, tmp_path, command, form):
         if form == "inline":
-            source = ("--matrix", " / ".join(" ".join(map(str, r)) for r in self.EYE4))
+            source = ("--matrix", " / ".join(" ".join(map(str, r)) for r in self.EYE17))
         elif form == "json":
-            source = ("--matrix", json.dumps(self.EYE4))
+            source = ("--matrix", json.dumps(self.EYE17))
         else:
             f = tmp_path / "m.txt"
-            f.write_text("".join(" ".join(map(str, r)) + "\n" for r in self.EYE4))
+            f.write_text("".join(" ".join(map(str, r)) + "\n" for r in self.EYE17))
             source = ("--matrix-file", str(f))
         code, out, err = run(capsys, *command, *source)
         assert code == 1 and out == ""
-        assert err.startswith("MatrixTooLargeError: n=4 exceeds the cap 3")
+        assert err == "MatrixTooLargeError: n=17 exceeds the cap 16\n"
 
     @pytest.mark.parametrize("family", ["sig1", "pz"])
-    def test_family_params(self, capsys, monkeypatch, family):
-        monkeypatch.setenv("BERGPOLY_MAX_N", "3")
-        code, out, err = run(capsys, "special", "--family", family, "--params", "1,1,1,1")
+    def test_family_params(self, capsys, family):
+        code, out, err = run(capsys, "special", "--family", family, "--params", ",".join(["1"] * 17))
         assert code == 1 and out == ""
-        assert err.startswith("MatrixTooLargeError: n=4 exceeds the cap 3")
+        assert err == "MatrixTooLargeError: n=17 exceeds the cap 16\n"
 
     def test_default_cap(self, capsys):
         eye17 = " / ".join(" ".join(str(int(i == j)) for j in range(17)) for i in range(17))

@@ -13,7 +13,7 @@ from bergpoly import (
 )
 from bergpoly.render import LATEX, poly_terms
 
-from _reference import try_exact_divide
+from _reference import add, mul, one, try_exact_divide
 
 P = poly = LaurentPolynomial
 
@@ -55,9 +55,10 @@ def exists_quotient_up_to_degree(num, div, deg):
         }
         | {e for e, _ in num.items()}
     )
+    div_c, num_c = dict(div.items()), dict(num.items())
     a = [
-        [div.coefficient(tuple(x - y for x, y in zip(f, e))) for e in support]
-        + [num.coefficient(f)]
+        [div_c.get(tuple(x - y for x, y in zip(f, e)), 0) for e in support]
+        + [num_c.get(f, 0)]
         for f in rows_idx
     ]
     ncols = len(support)
@@ -81,54 +82,57 @@ def exists_quotient_up_to_degree(num, div, deg):
 
 
 class TestArithmetic:
+    """The package has no ring operations; the tests build sums and
+    products with `_reference.add` and `mul`, which are checked here."""
+
     def test_add_cancels(self):
         t1 = P.monomial(2, 1, (1, 0))
-        assert (t1 + (-t1)).is_zero()
+        assert add(t1, -t1).is_zero()
 
     def test_add(self):
-        left = poly(2, {(0, 0): 1, (0, 1): 1}) + P.monomial(2, 1, (1, 0))
+        left = add(poly(2, {(0, 0): 1, (0, 1): 1}), P.monomial(2, 1, (1, 0)))
         assert left == poly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
 
     def test_add_negative_exponents(self):
         inv = P.monomial(2, 1, (-1, 0))
-        assert inv + inv == P.monomial(2, 2, (-1, 0))
+        assert add(inv, inv) == P.monomial(2, 2, (-1, 0))
 
     def test_square(self):
         d = poly(2, {(0, 1): 1, (1, 0): -1})  # t2 - t1
-        assert d * d == poly(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1})
+        assert mul(d, d) == poly(2, {(0, 2): 1, (1, 1): -2, (2, 0): 1})
 
     def test_mul_identity(self):
         p = poly(2, {(1, -2): 3, (0, 0): 1})
-        assert p * P.one(2) == p
+        assert mul(p, one(2)) == p
 
     def test_telescoping(self):
         a = poly(1, {(0,): 1, (1,): -1})
         b = poly(1, {(0,): 1, (1,): 1, (2,): 1})
-        assert a * b == poly(1, {(0,): 1, (3,): -1})
+        assert mul(a, b) == poly(1, {(0,): 1, (3,): -1})
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatchError):
-            P.one(2) + P.one(3)
+            add(one(2), one(3))
 
     @settings(max_examples=120, deadline=None)
     @given(small_polys(), small_polys(), small_polys())
     def test_ring_axioms(self, a, b, c):
-        assert (a + b) + c == a + (b + c)
-        assert a + b == b + a
-        assert a * b == b * a
-        assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
+        assert add(add(a, b), c) == add(a, add(b, c))
+        assert add(a, b) == add(b, a)
+        assert mul(a, b) == mul(b, a)
+        assert mul(mul(a, b), c) == mul(a, mul(b, c))
+        assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 class TestDivision:
     def test_square_by_factor(self):
         d = poly(2, {(0, 1): 1, (1, 0): -1})
-        sq = d * d
+        sq = mul(d, d)
         assert try_exact_divide(sq, d) == d
 
     def test_self_division(self):
         p = poly(2, {(2, -1): 3, (0, 1): 5})
-        assert try_exact_divide(p, p) == P.one(2)
+        assert try_exact_divide(p, p) == one(2)
 
     def test_not_divisible_with_oracle(self):
         num = poly(2, {(0, 0): 1, (1, 0): 1, (0, 1): 1})
@@ -136,20 +140,20 @@ class TestDivision:
         assert try_exact_divide(num, div) is None
         assert not exists_quotient_up_to_degree(num, div, 1)
         # sanity: the oracle does find genuine quotients
-        assert exists_quotient_up_to_degree(div * div, div, 1)
+        assert exists_quotient_up_to_degree(mul(div, div), div, 1)
 
     def test_zero_numerator(self):
         d = poly(2, {(0, 1): 1, (1, 0): -1})
-        assert try_exact_divide(P.zero(2), d) == P.zero(2)
+        assert try_exact_divide(P(2), d) == P(2)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            try_exact_divide(P.one(2), P.zero(2))
+            try_exact_divide(one(2), P(2))
 
     def test_laurent_shift_round_trip(self):
         q = poly(2, {(-1, 2): 2, (0, 0): 1})
         d = poly(2, {(0, -1): 1, (-2, 0): -1})
-        prod = q * d
+        prod = mul(q, d)
         assert try_exact_divide(prod, d) == q
 
     @settings(max_examples=120, deadline=None)
@@ -157,7 +161,7 @@ class TestDivision:
     def test_round_trip(self, q, d):
         if d.is_zero():
             return
-        assert try_exact_divide(q * d, d) == q
+        assert try_exact_divide(mul(q, d), d) == q
 
 
 class TestBinomialDivisibility:
@@ -171,8 +175,8 @@ class TestBinomialDivisibility:
     @settings(max_examples=200, deadline=None)
     @given(small_polys(max_terms=6), binomials())
     def test_multiples_are_divisible(self, g, f):
-        assert (g * f).divisible_by_binomial(f)
-        assert try_exact_divide(g * f, f) is not None
+        assert mul(g, f).divisible_by_binomial(f)
+        assert try_exact_divide(mul(g, f), f) is not None
 
     @pytest.mark.parametrize(
         "f",
@@ -187,7 +191,7 @@ class TestBinomialDivisibility:
         n = f.n
         g = poly(n, {(1,) + (0,) * (n - 1): 2, (0,) * n: 3})
         t = poly(n, {(0,) * (n - 1) + (1,): 1})
-        cases = [g * f, f * f, g * f + t, g, f + t * f * f, P.zero(n)]
+        cases = [mul(g, f), mul(f, f), add(mul(g, f), t), g, add(f, mul(t, f, f)), P(n)]
         for num in cases:
             want = try_exact_divide(num, f) is not None
             assert num.divisible_by_binomial(f) == want
@@ -209,7 +213,7 @@ class TestBinomialDivisibility:
         num = poly(2, {(1, 0): 1, (0, 1): -1})
         assert not num.divisible_by_binomial(f)
         assert try_exact_divide(num, f) is None
-        assert (num * f).divisible_by_binomial(f)
+        assert mul(num, f).divisible_by_binomial(f)
 
     def test_non_primitive_half_step(self):
         # 1 - t^(1,1) divides 1 - t^(2,2), not the other way round
@@ -229,14 +233,14 @@ class TestBinomialDivisibility:
             poly(2, {(1, 0): 1, (0, 1): 1}),  # t^a + t^b
             poly(2, {(1, 0): 2, (0, 1): -1}),  # unequal magnitudes
             poly(2, {(1, 0): 1}),  # a monomial
-            P.zero(2),
+            P(2),
             poly(2, {(1, -1): 3, (-2, 0): -3}),  # c = 3
             poly(3, {(0, 2, 0): 2, (0, 0, 1): -2}),  # c = 2 in three variables
         ],
     )
     def test_non_binomial_raises(self, f):
         with pytest.raises(ValueError, match="binomials"):
-            P.one(f.n).divisible_by_binomial(f)
+            one(f.n).divisible_by_binomial(f)
 
 
 class TestEvaluate:
@@ -253,7 +257,7 @@ class TestEvaluate:
         assert p.evaluate([1j, 1j]) == pytest.approx(-1)
 
     def test_zero_base_positive_exponent(self):
-        p = P.monomial(2, 1, (1, 0)) + P.one(2)
+        p = add(P.monomial(2, 1, (1, 0)), one(2))
         assert p.evaluate([0, 5]) == pytest.approx(1)
 
     @settings(max_examples=60, deadline=None)
@@ -261,33 +265,30 @@ class TestEvaluate:
     def test_multiplicative(self, a, b):
         point = [0.73 + 0.11j, -0.52 + 0.4j]
         va, vb = a.evaluate(point), b.evaluate(point)
-        vab = (a * b).evaluate(point)
+        vab = mul(a, b).evaluate(point)
         assert abs(vab - va * vb) <= 1e-10 * max(1.0, abs(va * vb))
 
 
 class TestMonomialConstructor:
     def test_constant_one(self):
-        assert P.monomial(3, 1, (0, 0, 0)) == P.one(3)
+        assert P.monomial(3, 1, (0, 0, 0)) == P(3, {(0, 0, 0): 1})
 
     def test_zero_coeff(self):
         assert P.monomial(2, 0, (1, 1)).is_zero()
 
     def test_integral_coefficients_are_int(self):
         p = P(2, {(0, 0): Fraction(4, 2), (1, 0): 3, (0, 1): np.int64(-5)})
-        assert all(type(p.coefficient(e)) is int for e in ((0, 0), (1, 0), (0, 1), (5, 5)))
-        assert all(type(c) is int for _, c in (p * 2).items())
+        assert all(type(c) is int for _, c in p.items())
         for c in (Fraction(1, 2), 0.5):
             with pytest.raises(ValueError):
                 P(2, {(0, 0): c})
-            with pytest.raises(ValueError):
-                p * c
 
     @settings(max_examples=150, deadline=None)
-    @given(small_polys(), small_polys(), st.integers(-4, 4))
-    def test_operations_keep_terms_clean(self, a, b, k):
-        # ring operations skip the public constructor's checks, so their
-        # term maps must already be what that constructor would build
-        for r in (a + b, a - b, -a, a * b, a.scaled(k), a * k):
+    @given(small_polys())
+    def test_operations_keep_terms_clean(self, a):
+        # negation skips the public constructor's checks, so its term map
+        # must already be what that constructor would build
+        for r in (-a, a.sign_normalized()):
             assert dict(r.items()) == dict(P(2, dict(r.items())).items())
             for e, c in r.items():
                 assert type(e) is tuple and len(e) == 2 and c != 0
@@ -310,7 +311,7 @@ class TestSerialization:
     def test_latex(self):
         d = poly(2, {(0, 1): 1, (1, 0): -1})
         assert poly_terms(d, LATEX) == "t_{2} - t_{1}"
-        assert poly_terms(P.zero(2), LATEX) == "0"
+        assert poly_terms(P(2), LATEX) == "0"
         assert poly_terms(poly(2, {(2, 0): -3}), LATEX) == r"-3 t_{1}^{2}"
 
     def test_sign_normalized(self):

@@ -228,7 +228,7 @@ F = Fraction
 @pytest.mark.parametrize(
     "p,latex,text",
     [
-        (P.zero(2), "0", "0"),
+        (P(2), "0", "0"),
         (P(2, {(0, 0): 3}), "3", "3"),
         (P(2, {(0, 0): 1}), "1", "1"),
         (P(2, {(0, 0): -1}), "-1", "-1"),

@@ -12,7 +12,6 @@ from bergpoly import (
     SignatureOneSpec,
     WrongDimensionError,
     assemble_kernel,
-    chain_weight,
     denominator_factors,
     kernel_dim2,
     kernel_generalized_hartogs,
@@ -22,21 +21,16 @@ from bergpoly import (
     prepare,
     same_kernel,
 )
-from bergpoly.special import (
-    chain_bounds,
-    chain_coefficient,
-    chain_matrix,
-    signature_coefficient,
-    signature_matrix,
-)
+from bergpoly.special import chain_bounds, chain_matrix, signature_matrix
 from bergpoly.tent import tent
 
+from _reference import chain_coefficient, chain_weight, identity, signature_coefficient
 from families import chain_specs, signature_specs, subsample, unimodular_family
 
 
 class TestUnimodular:
     def test_polydisc(self):
-        vm = prepare(IntMatrix.identity(3))
+        vm = prepare(identity(3))
         assert same_kernel(kernel_unimodular(vm), assemble_kernel(vm))
 
     def test_hartogs_monomial(self, hartogs_vm):
@@ -79,7 +73,7 @@ class TestDim2:
 
     def test_wrong_dimension(self):
         with pytest.raises(WrongDimensionError):
-            kernel_dim2(prepare(IntMatrix.identity(3)))
+            kernel_dim2(prepare(identity(3)))
 
     def test_family_agreement(self, family_2x2):
         for vm in family_2x2:

