@@ -1,13 +1,16 @@
-"""Per-call time of the numerator enumerator on each workload's own calls.
+"""Per-call time of the tent enumerator on each workload's own calls.
 
     python3 benchmarks/enumerator.py --seed 1 --parent ../parent-checkout --pairs 10
 
-Captures every `tent_product_over_box` call that one round of each
-perfbench workload makes, by wrapping the function's bindings in
-`bergpoly.kernel` and `bergpoly.special` while the round runs in this
-process on this checkout's bergpoly (perfbench is imported, never
-changed).  It then times the captured calls in subprocesses, once on the
-parent checkout's `src/` and once on this one's per pair, alternating
+Captures every `tent_product_over_box` call that one round of the
+`crosscheck` workload makes, by wrapping the function's binding in
+`bergpoly.special` while the round runs in this process on this
+checkout's bergpoly (perfbench is imported, never changed).  The
+signature-one and generalized-Hartogs witnesses are the enumerator's
+only callers on a workload's path: the general numerator is built from
+the lattice cone, so the `kernel` and `verify` workloads make no call.
+It then times the captured calls in subprocesses, once on the parent
+checkout's `src/` and once on this one's per pair, alternating
 which side goes first as benchmarks/pairs.py does.  Each subprocess runs
 every workload's calls once untimed and then PASSES times, the workloads
 taking turns, and reports each workload's best pass in microseconds per
@@ -36,19 +39,19 @@ from pathlib import Path
 from pairs import alternate, record, summary
 
 ROOT = Path(__file__).resolve().parent.parent
-WORKLOADS = ("kernel", "verify", "crosscheck")
+# the workloads that run the special witnesses
+WORKLOADS = ("crosscheck",)
 PASSES = 25
 
 
 def capture(seed: int) -> dict[str, list]:
     """Every enumerator call of one round of each workload, as JSON lists."""
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
-    import bergpoly.kernel
     import bergpoly.special
     import workloads
 
     calls: list = []
-    original = bergpoly.kernel.tent_product_over_box
+    original = bergpoly.special.tent_product_over_box
 
     def recorder(lower, upper, ks, weights, offsets):
         calls.append([list(map(int, lower)), list(map(int, upper)), list(map(int, ks)),
@@ -56,8 +59,7 @@ def capture(seed: int) -> dict[str, list]:
         return original(lower, upper, ks, weights, offsets)
 
     out = {}
-    for module in (bergpoly.kernel, bergpoly.special):
-        module.tent_product_over_box = recorder
+    bergpoly.special.tent_product_over_box = recorder
     try:
         for workload in WORKLOADS:
             calls.clear()
@@ -65,8 +67,7 @@ def capture(seed: int) -> dict[str, list]:
                 workloads.run_op(op)
             out[workload] = list(calls)
     finally:
-        for module in (bergpoly.kernel, bergpoly.special):
-            module.tent_product_over_box = original
+        bergpoly.special.tent_product_over_box = original
     return out
 
 

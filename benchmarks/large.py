@@ -14,7 +14,8 @@ subprocess of its own, one in-process comparison of the 6x6 cyclic
 (2, -1) form with one numerator coefficient raised by 1, on the window
 of radius 5: `oracle._compare_window`, the window fill and passes of
 checkouts that have it, or else `compare_with_closed_form`, which reads
-the report off the lattice-cone numerator.  Both sides must report the
+the report off the lattice-cone numerator or, in later checkouts, off
+the tent formula's values.  Both sides must report the
 same mismatches.  The subprocess also reports its peak resident set
 size (ru_maxrss, imports included).
 

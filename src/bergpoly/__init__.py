@@ -43,7 +43,6 @@ from .kernel import (
     denominator_factors,
     eval_kernel,
     exponent_box,
-    numerator_coefficient,
     numerator_polynomial,
     same_kernel,
 )

@@ -18,16 +18,22 @@ dim2, a matrix for sig1 or pz) as invalid input: exit 1.
 
 `verify` checks every point of the window together with the
 numerator's bounding box (the report's `safeBox`), so no window is too
-small.  It checks the form against the lattice-cone numerator N on all
-of Z^n, as `oracle.certify` does, and reads the mismatches in the box
-off N, so it never fills a window (the window fill is only the tests'
-plain reference); --jobs N is accepted for N >= 1 and ignored.
+small.  It checks the form against the paper's tent formula on all of
+Z^n, as `oracle.certify` does: at each of the form's terms and by the
+mass identity, with no enumeration.  Only a refused form has its
+mismatches in the box read off the tent formula's values there, so it
+never fills a window (the window fill is only the tests' plain
+reference); --jobs N is accepted for N >= 1 and ignored.
 A window whose oracle hull (the box widened by the squared denominator's
 exponent extents) has more than the oracle's cap of 2^27 points is
 invalid input, whatever the form: exit 1 with one WindowTooLargeError
 line naming the hull and its point count.
-A numerator too large to enumerate in memory is invalid input too: exit
-1 with one NumeratorTooLargeError line.
+A numerator with more terms than the cap of 2^18 is invalid input too:
+exit 1 with one NumeratorTooLargeError line naming n, det B and the
+term count, before any term is built.  So is a numerator that does not
+fit in memory, and a `special --family sig1` or `pz` numerator whose
+enumeration does not (that line names the enumeration level and its
+row count).
 `eval --epsilon` is the modulus below which a denominator factor counts
 as singular; one that is not finite or not > 0 would turn that guard off
 and is invalid input (exit 1).  A --matrix-file that cannot be read, a

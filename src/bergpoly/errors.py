@@ -34,7 +34,8 @@ class WindowTooLargeError(InputError):
 
 
 class NumeratorTooLargeError(InputError):
-    """The numerator's term enumeration does not fit in memory."""
+    """The numerator has more terms than its cap (kernel.NUMERATOR_BUDGET_TERMS),
+    or its terms or a special family's enumeration do not fit in memory."""
 
 
 class InvalidKError(InputError):

@@ -12,6 +12,8 @@ One fraction-free Gauss-Jordan elimination gives both det and adj of a
 matrix; `normalize` runs it once and carries adj B along, and `prepare`
 only scans that adjugate for a negative entry.  There is no separate
 validation type: a ValidatedMatrix is a NormalizedMatrix that passed.
+`parallelepiped` walks the det B cosets of Z^n / Z^n B through the
+Hermite normal form of B's rows, all at once in numpy.
 
 Indexing convention: entry(j, k) is row j, column k, zero-based.  Rows of
 B carry the monomial exponents; columns enter the numerator bounds.
@@ -23,6 +25,8 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .errors import (
     AllZeroRowError,
@@ -177,6 +181,20 @@ def hermite_rows(m: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
             if q:
                 rows[i] = [x - q * y for x, y in zip(rows[i], pivot)]
     return tuple(tuple(r) for r in rows[:n])
+
+
+def parallelepiped(vm: ValidatedMatrix, dtype: type = np.int64) -> np.ndarray:
+    """y = x adj B for each of the det points x of the half-open
+    parallelepiped Pi = {x in Z^n : 1 <= (x adj B)_j <= det}, one row of
+    the (det, n) array per coset of Z^n / Z^n B.  With d the diagonal of
+    the Hermite normal form of B's rows, the r with 0 <= r_i < d_i
+    represent the cosets, and the point of r's coset has
+    y = ((r adj B - 1) mod det) + 1.  Every entry of r adj B lies in
+    [0, det * (column sum of adj B)], so int64 holds it when that is
+    below 2**62; the caller picks the dtype."""
+    h = hermite_rows(vm.matrix.rows)
+    r = np.array(np.unravel_index(np.arange(vm.det), [h[i][i] for i in range(vm.n)]), dtype).T
+    return (r @ np.array(vm.adj.rows, dtype=dtype) - 1) % vm.det + 1
 
 
 def row_gcd(v: Sequence[int]) -> int:

@@ -11,10 +11,48 @@ is a product of tent values driven by the columns of adj B:
 
     c(nu) = prod_j tent(det B, (nu - 2*colsums(B_-) + 1) . a_j - 1).
 
+The numerator is built from the lattice cone the rows b_j of B span
+(Beck and Robins, *Computing the Continuous Discretely*, ch. 3; the
+oracle module docstring derives it from the series):
+
+    N = sum_{x' in Pi} t^(x' + base) prod_j (y_j + (d - y_j) t^(b_j)),
+
+with d = det B, Pi = {x : 1 <= (x adj B)_j <= d} the det B points of
+the half-open parallelepiped (`int_linalg.parallelepiped`), y = x' adj B
+and base_i = 2 sum_j max(-b_ji, 0) - 1.  Its terms never collide: the
+term of x' and a row subset S has exponent x with (x - base) adj B =
+y + d 1_S, and since every y_j lies in [1, d] and row j enters S only
+when y_j < d, (x', S) is read back from x.  So each term is its own
+exponent, with coefficient prod_{j not in S} y_j prod_{j in S} (d - y_j)
+= c(x), and N is expanded with no merge: all cosets at once, one row at
+a time, row j adding the term e + b_j with coefficient c (d - y_j) only
+where y_j < d.  A unimodular matrix gives one term.  The terms are
+sorted into lexicographic order once, at the end.
+
+One path, two dtype choices.  Every coefficient is at most det^n (each
+factor y_j or det - y_j is at most det), so the coefficients are int64
+when det^n < 2**62 and exact Python integers otherwise (the 8x8 cyclic
+(2, -1) has det 255 and a coefficient of 1.79e19).  Every entry of
+r adj B (the coset walk) lies in [0, det * max_j (column sum of adj B)_j],
+|(y B)_i| <= det (1|B|)_i, and every exponent and partial sum is at
+most 4 (1|B|)_i + 1 in absolute value, so the cosets and exponents are
+int64 when det * max_j (column sum of adj B)_j and
+(det + 4) max_i (1|B|)_i + 1 are below 2**62, and Python integers
+otherwise.
+
+The number of terms is known before they are built: det B cosets, the
+one of y having 2^#{j : y_j < det} terms.  A matrix whose det B alone
+is over NUMERATOR_BUDGET_TERMS is refused before any array exists, and
+one whose exact count is over it right after the cosets' y are built,
+with NumeratorTooLargeError naming n, det B and the count; a
+MemoryError while the terms are built is a NumeratorTooLargeError too.
+
 The coefficient support lives in a finite box.  NOTE the index
 convention: the box bounds use COLUMN sums of |B| = B_+ + B_-, i.e.
 (1|B|)_j, not row sums -- with ceil_j = ceil((1|B|)_j / det B), coordinate
 j of the support satisfies ceil_j - 1 <= nu_j <= 2 (1|B|)_j - 1 - ceil_j.
+No command scans that box for the numerator; the benchmark reads its
+volume.
 
 A BergmanKernelForm stores its prefactor, integer numerator, binomial
 factors and validated matrix; n, det B, the exponent -n of pi and the
@@ -28,10 +66,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import CanonicityViolationError, EvaluationAtSingularityError
-from .int_linalg import IntMatrix, NormalizedMatrix, ValidatedMatrix, prepare
+import numpy as np
+
+from .errors import (
+    CanonicityViolationError,
+    EvaluationAtSingularityError,
+    NumeratorTooLargeError,
+)
+from .int_linalg import IntMatrix, NormalizedMatrix, ValidatedMatrix, parallelepiped, prepare
 from .laurent import LaurentPolynomial
-from .tent import tent, tent_product_over_box
+
+# terms the numerator may have (`numerator_polynomial`); a matrix over it
+# is refused before its terms are built
+NUMERATOR_BUDGET_TERMS = 2**18
 
 
 @dataclass(frozen=True)
@@ -60,34 +107,60 @@ def exponent_box(vm: ValidatedMatrix) -> ExponentBox:
     return ExponentBox(lower, upper, ceilings)
 
 
-def _shift_vector(vm: ValidatedMatrix) -> tuple[int, ...]:
-    """Row vector 1 - 2 * (column sums of B_-), read off the rows of B."""
-    return tuple(1 + 2 * sum(min(x, 0) for x in col) for col in zip(*vm.matrix.rows))
+def _numerator_dtypes(vm: ValidatedMatrix) -> tuple[type, type]:
+    """The dtypes of the exponents (and cosets) and of the coefficients:
+    int64 where the bounds of the module docstring stay below 2**62, else
+    object."""
+    det = vm.det
+    walk = max(
+        det * max(map(sum, zip(*vm.adj.rows))),
+        (det + 4) * max(vm.matrix.column_abs_sums()) + 1,
+    )
+    return tuple(np.int64 if bound < 2**62 else object for bound in (walk, det**vm.n))
 
 
-def numerator_coefficient(vm: ValidatedMatrix, nu: Sequence[int]) -> int:
-    """c(nu): product over columns a_j of adj B of tent(det B, m . a_j - 1)
-    with m = nu + (1 - 2*colsums(B_-))."""
-    shift = _shift_vector(vm)
-    m = [int(v) + s for v, s in zip(nu, shift)]
-    out = 1
-    for j in range(vm.n):
-        arg = sum(m[i] * vm.adj.entry(i, j) for i in range(vm.n)) - 1
-        out *= tent(vm.det, arg)
-        if out == 0:
-            return 0
-    return out
+def _too_large(vm: ValidatedMatrix, terms: str) -> NumeratorTooLargeError:
+    return NumeratorTooLargeError(
+        f"the numerator in dimension {vm.n} with det {vm.det} has {terms} terms, "
+        f"more than the cap of {NUMERATOR_BUDGET_TERMS}"
+    )
 
 
 def numerator_polynomial(vm: ValidatedMatrix) -> LaurentPolynomial:
-    """Sum of c(nu) t^nu over the exponent box (exponents all >= 0)."""
-    box = exponent_box(vm)
-    shift = _shift_vector(vm)
-    offsets = [sum(s * a for s, a in zip(shift, col)) - 1 for col in zip(*vm.adj.rows)]
-    terms = tent_product_over_box(
-        box.lower, box.upper, [vm.det] * vm.n, vm.adj.rows, offsets
-    )
-    return LaurentPolynomial._from_clean(vm.n, terms)
+    """The lattice-cone numerator N of the module docstring, sum of
+    c(nu) t^nu, in lexicographic order; NumeratorTooLargeError over
+    NUMERATOR_BUDGET_TERMS terms."""
+    n, det = vm.n, vm.det
+    if det > NUMERATOR_BUDGET_TERMS:
+        raise _too_large(vm, f"at least {det}")
+    exp_dtype, coeff_dtype = _numerator_dtypes(vm)
+    try:
+        y = parallelepiped(vm, exp_dtype)
+        # det * 2^n bounds the count; the exact count is at most det * 2^16
+        if det << n > NUMERATOR_BUDGET_TERMS:
+            terms = int(np.left_shift(1, (y < det).sum(axis=1)).sum())
+            if terms > NUMERATOR_BUDGET_TERMS:
+                raise _too_large(vm, str(terms))
+        rows = np.array(vm.matrix.rows, dtype=exp_dtype)
+        base = [2 * sum(max(-x, 0) for x in col) - 1 for col in zip(*vm.matrix.rows)]
+        # x' = y B / det, exact
+        exps = y @ rows // det + np.array(base, dtype=exp_dtype)
+        coeffs = np.ones(det, dtype=coeff_dtype)
+        coset = np.arange(det)
+        for j in range(n):
+            yj = y[coset, j]
+            grow = np.flatnonzero(yj < det)
+            exps = np.concatenate((exps, exps[grow] + rows[j]))
+            coeffs = np.concatenate((coeffs * yj, coeffs[grow] * (det - yj[grow])))
+            coset = np.concatenate((coset, coset[grow]))
+        order = np.lexsort(exps.T[::-1])
+        return LaurentPolynomial._from_clean(
+            n, dict(zip(zip(*exps[order].T.tolist()), coeffs[order].tolist()))
+        )
+    except MemoryError:
+        raise NumeratorTooLargeError(
+            f"the numerator in dimension {n} with det {det} does not fit in memory"
+        ) from None
 
 
 def denominator_factors(vm: ValidatedMatrix) -> list[LaurentPolynomial]:

@@ -89,12 +89,12 @@ class LaurentPolynomial:
         """Per-coordinate minimum over the support (zero polynomial: all 0)."""
         if not self._terms:
             return (0,) * self.n
-        return tuple(min(e[i] for e in self._terms) for i in range(self.n))
+        return tuple(map(min, zip(*self._terms)))
 
     def max_exponents(self) -> Exponent:
         if not self._terms:
             return (0,) * self.n
-        return tuple(max(e[i] for e in self._terms) for i in range(self.n))
+        return tuple(map(max, zip(*self._terms)))
 
     def sign_normalized(self) -> "LaurentPolynomial":
         """Negated if needed so the lex-leading coefficient is positive."""

@@ -23,7 +23,7 @@ Every coefficient is a positive rational with denominator dividing det A;
 all comparisons against the closed form happen on the integer multiples
 det A * coefficient, so the whole pipeline is exact.
 
-The certificate (`certify`) checks a form on all of Z^n at once.  Write
+The series sums to a finite form over the lattice cone.  Write
 x = m + 1 and d = det B, so y = x adj B and x = sum_j (y_j / d) b_j over
 the rows b_j of B: the admissible x are the lattice points of the open
 cone the rows span.  Each is uniquely x' + sum_j k_j b_j with every
@@ -42,23 +42,48 @@ squared row binomials is pi^-n d^-(n-1) N with
     base_i = 2 sum_j max(-b_ji, 0) - 1,
 
 a finite polynomial (Beck and Robins, *Computing the Continuous
-Discretely*, ch. 3).  A form whose factors are the row binomials, up to
-sign and order, is therefore right everywhere exactly when
-d^(n-1) * prefactor * numerator = N, term for term.
+Discretely*, ch. 3), which `kernel.numerator_polynomial` builds.
 
-`compare_with_closed_form` reads its report off N too.  The closed form
-is prefactor * num / prod_f f^2, and when its factors are the row
-binomials, det^(n-1) times the series times prod_f f^2 is N at every
-exponent.  So comparing that product with det^(n-1) * prefactor * num
-point by point on a box, as a window comparison would, compares N's
-terms with the numerator's: with det^(n-1) * prefactor = p/q in lowest
-terms, e is a mismatch exactly when p * num(e) != q * N(e).  Only an
-exponent in the support of num or N can be one, so every point of the
-box is checked and no window is filled.  HULL_BUDGET_POINTS still caps
-the window: a window whose hull, the box a point-by-point product would
-fill, has more points is refused, whatever the form.  `oracle_series`
-fills a window straight from the norm formula; it is the tests' plain
-reference for the series, and no command calls it.
+The certificate (`certify`) does not build N.  It checks a form against
+the paper's tent formula, with B, det B, adj B and tent values only.
+Write s_i = 1 - 2 sum_j max(-b_ji, 0) = -base_i and
+
+    c(e) = prod_j tent(d, (e + s) . a_j - 1),  a_j the columns of adj B,
+
+the coefficient of N at e (the kernel module docstring shows that N's
+terms never collide).  Every c(e) is >= 0, and the mass identity
+sum_{e in Z^n} c(e) = d^(n+1) holds: e -> u = (e + s) adj B - 1 is
+injective onto a coset of L = Z^n adj B, which has index d^(n-1) in Z^n
+and contains d Z^n, since (z B) adj B = d z.  tent(d, .) is the
+convolution of the indicator of [0, d - 1] with itself, so the sum
+counts the pairs a, b in [0, d - 1]^n with a + b in the coset; for each
+a, b runs once over the residues mod d, and the coset holds d of the
+d^n residue classes, which gives d^n * d.  So with
+d^(n-1) * prefactor = p/q in lowest terms, a form whose factors are the
+row binomials, up to sign and order, is right on all of Z^n exactly
+when p * num(e) = q * c(e) at each of its terms and
+sum_e p * num(e) = q * d^(n+1): its terms then carry all of c's mass,
+and c >= 0 vanishes off them.  That is O(terms * n^2) work with no
+enumeration, in numpy: int64 when d^n and
+max_i |e_i| * max_j (column sum of adj B)_j + max_j |s . a_j - d| + d
+stay below 2**62 (they bound every value of the pass), else exact
+Python integers.
+
+`compare_with_closed_form` gives a form that the certificate accepts an
+empty report.  For any other form it reads the report off c: when the
+form's factors are the row binomials, det^(n-1) times the series times
+prod_f f^2 is c at every exponent, so comparing that product with
+det^(n-1) * prefactor * num point by point on a box, as a window
+comparison would, compares c with the numerator: e is a mismatch
+exactly when p * num(e) != q * c(e).  Only an exponent in the support
+of num or c can be one, and c's support lies in the box where
+z = (e + s) adj B is in [1, 2d - 1]^n, which `tent_product_over_box`
+enumerates.  So every point of the box is checked and no window is
+filled.  HULL_BUDGET_POINTS still caps the window: a window whose hull,
+the box a point-by-point product would fill, has more points is
+refused, whatever the form.  `oracle_series` fills a window straight
+from the norm formula; it is the tests' plain reference for the series,
+and no command calls it.
 """
 
 from __future__ import annotations
@@ -75,9 +100,10 @@ import numpy as np
 
 from . import _backend
 from .errors import NonConvergentError, WindowTooLargeError
-from .int_linalg import ValidatedMatrix, hermite_rows
+from .int_linalg import ValidatedMatrix
 from .kernel import BergmanKernelForm, assemble_kernel, eval_kernel
 from .laurent import LaurentPolynomial
+from .tent import tent_product_over_box
 
 # relative change between partial sums below which the spot check's series
 # counts as settled
@@ -153,61 +179,72 @@ class OracleReport:
         return not self.mismatches
 
 
-def _parallelepiped(vm: ValidatedMatrix):
-    """y = x adj B for each of the det points x of the half-open
-    parallelepiped Pi = {x in Z^n : 1 <= (x adj B)_j <= det}, one point per
-    coset of Z^n / Z^n B.  With d the diagonal of the Hermite normal form
-    of B's rows, the r with 0 <= r_i < d_i represent the cosets, and the
-    point of r's coset has y = ((r adj B - 1) mod det) + 1."""
-    det = vm.det
-    cols = tuple(zip(*vm.adj.rows))
-    h = hermite_rows(vm.matrix.rows)
-    for r in itertools.product(*(range(h[i][i]) for i in range(vm.n))):
-        yield tuple((sum(map(operator.mul, r, col)) - 1) % det + 1 for col in cols)
+def _shift(vm: ValidatedMatrix) -> list[int]:
+    """s_i = 1 - 2 sum_j max(-b_ji, 0), read off the columns of B."""
+    return [1 + 2 * sum(min(x, 0) for x in col) for col in zip(*vm.matrix.rows)]
 
 
-def cone_numerator(vm: ValidatedMatrix) -> dict[tuple[int, ...], int]:
-    """The term map of N = sum over x in Pi of
-    t^(x + base) prod_j (y_j + (det - y_j) t^(b_j)), y = x adj B and
-    base_i = 2 sum_j max(-b_ji, 0) - 1: the series times the squared row
-    binomials, times pi^n det^(n-1) (see the module docstring).  Its
-    coefficients are positive."""
-    det, rows = vm.det, vm.matrix.rows
-    cols = list(zip(*rows))
-    base = [2 * sum(max(-x, 0) for x in col) - 1 for col in cols]
-    out: dict[tuple[int, ...], int] = {}
-    for y in _parallelepiped(vm):
-        # x = y B / det, exact
-        x = tuple(sum(map(operator.mul, y, col)) // det + b for col, b in zip(cols, base))
-        terms = [(x, 1)]
-        for yj, row in zip(y, rows):
-            grown = [(e, c * yj) for e, c in terms]
-            if yj < det:
-                grown += [(tuple(map(operator.add, e, row)), c * (det - yj)) for e, c in terms]
-            terms = grown
-        for e, c in terms:
-            out[e] = out.get(e, 0) + c
-    return out
+def _certificate_dtype(vm: ValidatedMatrix, reach: int, offsets: list[int]) -> type:
+    """int64 when det^n and reach * max_j (column sum of adj B)_j +
+    max_j |offsets_j| + det, with reach the largest |e_i| of the form,
+    stay below 2**62 (module docstring), else object."""
+    bound = reach * max(map(sum, zip(*vm.adj.rows))) + max(map(abs, offsets)) + vm.det
+    return np.int64 if max(vm.det**vm.n, bound) < 2**62 else object
 
 
-def _differences(
+def _agrees(vm: ValidatedMatrix, form: BergmanKernelForm) -> bool:
+    """p * num(e) = q * c(e) at every term of the form, with
+    det^(n-1) * prefactor = p/q, and the mass identity
+    sum_e p * num(e) = q * det^(n+1) (module docstring)."""
+    det, n = vm.det, vm.n
+    ratio = det ** (n - 1) * form.prefactor
+    p, q = ratio.numerator, ratio.denominator
+    if form.numerator.is_zero():
+        return False
+    exps, nums = zip(*form.numerator.items())
+    if p * sum(nums) != q * det ** (n + 1):
+        return False
+    # tent(det, r) = max(det - |r - (det - 1)|, 0), and for
+    # r = (e + s) . a_j - 1 the centred r - (det - 1) is e . a_j + offsets_j
+    s = _shift(vm)
+    offsets = [sum(map(operator.mul, s, col)) - det for col in zip(*vm.adj.rows)]
+    try:
+        e = np.fromiter(itertools.chain.from_iterable(exps), np.int64, len(exps) * n)
+        reach = max(int(e.max()), -int(e.min()))
+    except OverflowError:
+        reach = 2**63
+    dtype = _certificate_dtype(vm, reach, offsets)
+    e = e.reshape(-1, n) if dtype is np.int64 else np.array(exps, dtype=object)
+    centred = e @ np.array(vm.adj.rows, dtype=dtype) + np.array(offsets, dtype=dtype)
+    c = np.maximum(det - abs(centred), 0).prod(axis=1)
+    return list(map(p.__mul__, nums)) == list(map(q.__mul__, c.tolist()))
+
+
+def _mismatches(
     vm: ValidatedMatrix, form: BergmanKernelForm
 ) -> dict[tuple[int, ...], tuple[Fraction, Fraction]]:
-    """{e: (prefactor * num(e), N(e) / det^(n-1))} at every exponent where
-    det^(n-1) * prefactor * numerator and N = `cone_numerator(vm)` differ.
-    With det^(n-1) * prefactor = p/q, the test is p * num(e) != q * N(e),
-    in integers."""
-    det_adj = vm.det ** (vm.n - 1)
+    """{e: (prefactor * num(e), c(e) / det^(n-1))} at every exponent where
+    p * num(e) != q * c(e), with det^(n-1) * prefactor = p/q.  c is
+    enumerated over the box of its support: c(e) != 0 needs
+    z = (e + s) adj B in [1, 2 det - 1]^n, and e + s = z B / det."""
+    det, n = vm.det, vm.n
+    det_adj = det ** (n - 1)
     ratio = det_adj * form.prefactor
     p, q = ratio.numerator, ratio.denominator
-    cone = cone_numerator(vm)
+    s = _shift(vm)
+    cols = list(zip(*vm.matrix.rows))
+    lower = [-(-sum(min(b, (2 * det - 1) * b) for b in col) // det) - si
+             for col, si in zip(cols, s)]
+    upper = [sum(max(b, (2 * det - 1) * b) for b in col) // det - si for col, si in zip(cols, s)]
+    offsets = [sum(si * a for si, a in zip(s, col)) - 1 for col in zip(*vm.adj.rows)]
+    tents = tent_product_over_box(lower, upper, [det] * n, vm.adj.rows, offsets)
     wrong = {}
     for e, c in form.numerator.items():
-        g = cone.pop(e, 0)
+        g = tents.pop(e, 0)
         if p * c != q * g:
             wrong[e] = (c, g)
-    # N's coefficients are positive, so each term left differs from num's 0
-    wrong.update((e, (0, g)) for e, g in cone.items())
+    # c's values are positive, so each one left differs from num's 0
+    wrong.update((e, (0, g)) for e, g in tents.items())
     return {e: (Fraction(p * c, q * det_adj), Fraction(g, det_adj)) for e, (c, g) in wrong.items()}
 
 
@@ -238,18 +275,18 @@ def certify(
 ) -> tuple[int, ...] | LaurentPolynomial | None:
     """None when the form equals the series on all of Z^n.  Otherwise the
     factor `_unmatched_factor` names, or the least exponent, in
-    lexicographic order, where det^(n-1) * prefactor * numerator and N =
-    `cone_numerator(vm)` differ (`_differences`).
+    lexicographic order, where det^(n-1) * prefactor * numerator and the
+    tent formula c differ (`_mismatches`).
 
-    It reads only B, det B and adj B.  N costs at most det * 2^n dict
-    terms, the same order as the numerator that `assemble_kernel` has
-    already built for the form, so the certificate has no budget or
-    fallback of its own."""
+    It reads only B, det B, adj B and tent values: a form with the right
+    factors is accepted by its own terms and the mass identity
+    (`_agrees`), and only a refused one enumerates c."""
     factor = _unmatched_factor(vm, form)
     if factor is not None:
         return factor
-    wrong = _differences(vm, form)
-    return min(wrong) if wrong else None
+    if _agrees(vm, form):
+        return None
+    return min(_mismatches(vm, form))
 
 
 def _plan(window: Window, form: BergmanKernelForm):
@@ -290,10 +327,11 @@ def compare_with_closed_form(
     has more than HULL_BUDGET_POINTS points is refused with
     WindowTooLargeError whatever the form.  A form whose factors are not
     B's row binomials, up to sign and order, is a ValueError naming the
-    factor `_unmatched_factor` names.  Otherwise det^(n-1) times the
-    series times the squared denominator is N at every exponent, so the
-    mismatches are the differences from N (`_differences`) that lie in
-    the box; a form `certify` accepts has none, and no window is filled."""
+    factor `_unmatched_factor` names.  A form that the certificate
+    accepts (`_agrees`) has no mismatch.  Otherwise det^(n-1) times the
+    series times the squared denominator is the tent formula c at every
+    exponent, so the mismatches are the differences from c
+    (`_mismatches`) that lie in the box.  No window is filled."""
     if form is None:
         form = assemble_kernel(vm)
     lo, hi = _plan(window, form)
@@ -302,8 +340,10 @@ def compare_with_closed_form(
         raise ValueError(
             f"the factors must be B's row binomials, up to sign and order; {factor!r} is not matched"
         )
+    if _agrees(vm, form):
+        return OracleReport((), lo, hi)
     box = Window(lo, hi)
-    wrong = _differences(vm, form)
+    wrong = _mismatches(vm, form)
     return OracleReport(tuple((e, *wrong[e]) for e in sorted(wrong) if box.contains(e)), lo, hi)
 
 

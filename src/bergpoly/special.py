@@ -18,9 +18,12 @@ matrix as factor j, as the general assembly does.  The last two formulas
 come out in their own scalings (prefactors 1/L and 1/P^(n-1));
 comparisons against the general form go through
 BergmanKernelForm.canonicalized(), which folds the numerator's content.
-Those two enumerate their numerators with tent_product_over_box; the
-pointwise coefficient formulas that the tests hold the enumerations to
-are kept with the tests, in tests/_reference.py.
+Those two prepare the matrix they build first, so a spec over the
+dimension cap is refused before anything is enumerated, and then
+enumerate their numerators with tent_product_over_box, which the general
+assembly does not use; the pointwise coefficient formulas that the
+tests hold the enumerations to are kept with the tests, in
+tests/_reference.py.
 """
 
 from __future__ import annotations
@@ -145,6 +148,7 @@ def kernel_signature_one(spec: SignatureOneSpec) -> BergmanKernelForm:
     k = spec.k
     n = len(k)
     big_k, ell, big_l = _signature_data(spec)
+    vm = prepare(signature_matrix(spec))
 
     # Factor 0 argument: 2K - l_1(nu_1 + 1) - 1; factor j >= 1 argument:
     # l_j(nu_j + 1) + l_1(nu_1 + 1) - 2K - 1.
@@ -172,7 +176,6 @@ def kernel_signature_one(spec: SignatureOneSpec) -> BergmanKernelForm:
         e = tuple(1 if i == j else 0 for i in range(n))
         factors.append(LaurentPolynomial(n, {(0,) * n: 1, e: -1}))
 
-    vm = prepare(signature_matrix(spec))
     return BergmanKernelForm(Fraction(1, big_l), numerator, tuple(factors), vm)
 
 
@@ -236,6 +239,7 @@ def kernel_generalized_hartogs(spec: GeneralizedHartogsSpec) -> BergmanKernelFor
     p = spec.p
     n = len(p)
     big_p, pprime, d, m = _chain_data(spec)
+    vm = prepare(chain_matrix(spec))
 
     # Expanded prefix form of the recursion: the argument of weight j is
     # affine in alpha_1..alpha_j, and weight(m, v) = tent(m, v - 2).
@@ -260,5 +264,4 @@ def kernel_generalized_hartogs(spec: GeneralizedHartogsSpec) -> BergmanKernelFor
     last = tuple(1 if i == n - 1 else 0 for i in range(n))
     factors.append(LaurentPolynomial(n, {(0,) * n: 1, last: -1}))
 
-    vm = prepare(chain_matrix(spec))
     return BergmanKernelForm(Fraction(1, big_p ** (n - 1)), numerator, tuple(factors), vm)

@@ -179,6 +179,20 @@ def monomial_norm(vm: ValidatedMatrix, m: Sequence[int]) -> Fraction | None:
     return Fraction(det_adj, denom)
 
 
+def numerator_coefficient(vm: ValidatedMatrix, nu: Sequence[int]) -> int:
+    """c(nu): product over columns a_j of adj B of tent(det B, m . a_j - 1)
+    with m = nu + (1 - 2*colsums(B_-))."""
+    shift = [1 + 2 * sum(min(x, 0) for x in col) for col in zip(*vm.matrix.rows)]
+    m = [int(v) + s for v, s in zip(nu, shift)]
+    out = 1
+    for j in range(vm.n):
+        arg = sum(m[i] * vm.adj.entry(i, j) for i in range(vm.n)) - 1
+        out *= tent(vm.det, arg)
+        if out == 0:
+            return 0
+    return out
+
+
 def tent_coefficients(k: int) -> list[int]:
     """Independent oracle: expand (1 + x + ... + x^(k-1))^2 by convolution
     and return the coefficients of x^0 .. x^(2k-2)."""

@@ -22,7 +22,6 @@ from bergpoly import (
     kernel_generalized_hartogs,
     kernel_signature_one,
     kernel_unimodular,
-    numerator_coefficient,
     numeric_spot_check,
     prepare,
     same_kernel,
@@ -32,7 +31,14 @@ from bergpoly.kernel import exponent_box
 from bergpoly.special import chain_matrix, signature_matrix
 from bergpoly.tent import tent
 
-from _reference import chain_weight, identity, one, scaled, tent_coefficients
+from _reference import (
+    chain_weight,
+    identity,
+    numerator_coefficient,
+    one,
+    scaled,
+    tent_coefficients,
+)
 from conftest import sample_interior_point
 from families import (
     chain_specs,

@@ -5,6 +5,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -141,10 +142,10 @@ class TestKernel:
         assert "t2" in out and "pi^2" in out
 
     def test_numerator_out_of_memory_is_input_error(self):
-        # det 2,997,001: the enumerator's second level already holds about
-        # 1.2e7 prefix rows, and the numerator has far more terms than a
-        # 1.5 GB address space limit leaves room for.  Never run this
-        # matrix without a memory limit.
+        # det 2,997,001 is over the numerator's cap of 2^18 terms, so the
+        # matrix is refused before any array exists; the 1.5 GB address
+        # space limit stays as the backstop.  Never run this matrix without
+        # the cap or a memory limit.
         proc = run_limited(15 * 10**8, "kernel", "--matrix",
                            "1000 -999 0 / 0 1000 -999 / -999 0 1000",
                            OPENBLAS_NUM_THREADS="1")
@@ -152,9 +153,20 @@ class TestKernel:
         assert proc.stdout == ""
         lines = proc.stderr.splitlines()
         assert len(lines) == 1 and "Traceback" not in proc.stderr
-        assert lines[0].startswith(
-            "NumeratorTooLargeError: the numerator enumeration in dimension 3 "
-            "ran out of memory at level ")
+        assert lines[0] == (
+            "NumeratorTooLargeError: the numerator in dimension 3 with det 2997001 "
+            "has at least 2997001 terms, more than the cap of 262144")
+
+    def test_numerator_over_the_cap_is_refused_at_once(self, capsys):
+        # the same matrix with no memory limit: the cap refuses it by its
+        # det alone, in far less than a second
+        start = time.perf_counter()
+        code, out, err = run(capsys, "kernel", "--matrix", "1000 -999 0 / 0 1000 -999 / -999 0 1000")
+        assert time.perf_counter() - start < 1
+        assert code == 1 and out == ""
+        assert err.splitlines() == [
+            "NumeratorTooLargeError: the numerator in dimension 3 with det 2997001 "
+            "has at least 2997001 terms, more than the cap of 262144"]
 
 
 class TestEval:
@@ -449,6 +461,17 @@ def test_size_no_array_can_hold_is_input_error(argv, error):
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(error + ": "), proc.stderr
+
+
+@pytest.mark.parametrize("family", ["sig1", "pz"])
+def test_special_over_the_dimension_cap_is_refused_at_once(family):
+    # the witness prepares the matrix it builds before it enumerates, so 17
+    # params meet the dimension cap, not the enumerator
+    params = "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59"
+    proc = run_limited(15 * 10**8, "special", "--family", family, "--params", params,
+                       OPENBLAS_NUM_THREADS="1")
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.splitlines() == ["MatrixTooLargeError: n=17 exceeds the cap 16"]
 
 
 @pytest.mark.parametrize(

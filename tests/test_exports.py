@@ -47,7 +47,6 @@ PUBLIC_NAMES = [
     "kernel_signature_one",
     "kernel_unimodular",
     "normalize",
-    "numerator_coefficient",
     "numerator_polynomial",
     "numeric_spot_check",
     "oracle_series",

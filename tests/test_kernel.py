@@ -1,8 +1,11 @@
+import dataclasses
 import itertools
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,20 +16,24 @@ from bergpoly import (
     GeneralizedHartogsSpec,
     IntMatrix,
     LaurentPolynomial,
+    NumeratorTooLargeError,
     assemble_kernel,
     canonicity_check,
     denominator_factors,
     eval_kernel,
     exponent_box,
     kernel_generalized_hartogs,
-    numerator_coefficient,
+    kernel_unimodular,
     numerator_polynomial,
     prepare,
     same_kernel,
 )
 
+from bergpoly import kernel, oracle
+from bergpoly.int_linalg import parallelepiped
+
 import families
-from _reference import add, identity, mul, one, scaled
+from _reference import add, identity, mul, numerator_coefficient, one, scaled
 from conftest import sample_interior_point
 
 
@@ -101,6 +108,86 @@ class TestNumeratorPolynomial:
             for e, c in num.items():
                 assert type(c) is int
                 assert c == numerator_coefficient(vm, e)
+
+
+    def test_one_term_per_coset_and_free_subset(self, family_2x2, family_3x3):
+        # the terms never collide: the coset of y has 2^#{j : y_j < det}
+        # terms, the count the cap is checked against
+        for vm in family_2x2 + family_3x3:
+            count = sum(2 ** sum(v < vm.det for v in y) for y in parallelepiped(vm).tolist())
+            assert len(numerator_polynomial(vm)) == count, vm.matrix.rows
+
+
+def _hook(d):
+    """(d -1 / 0 1): the coset r = 0 has y = (d, d) and one term, each of
+    the other d - 1 cosets has y = (r_0, r_0) and four: 4d - 3 terms."""
+    return prepare(IntMatrix(((d, -1), (0, 1))))
+
+
+def _corner(d):
+    """(d -1 0 0 0 0 / e_2 / ... / e_6): the coset r = 0 has
+    y = (d, ..., d) and the coefficient d^6."""
+    return prepare(IntMatrix([[d, -1, 0, 0, 0, 0]]
+                             + [[int(i == j) for j in range(6)] for i in range(1, 6)]))
+
+
+class TestNumeratorBounds:
+    def test_cap_at_its_edge(self):
+        assert kernel.NUMERATOR_BUDGET_TERMS == 2**18
+        assert len(numerator_polynomial(_hook(2**16))) == 2**18 - 3
+        with pytest.raises(NumeratorTooLargeError, match=(
+                r"^the numerator in dimension 2 with det 65537 has 262145 terms, "
+                r"more than the cap of 262144$")):
+            numerator_polynomial(_hook(2**16 + 1))
+
+    def test_det_over_the_cap_is_refused_before_the_walk(self):
+        with mock.patch.object(kernel, "parallelepiped", side_effect=AssertionError):
+            with pytest.raises(NumeratorTooLargeError, match=(
+                    r"^the numerator in dimension 2 with det 262145 has at least 262145 "
+                    r"terms, more than the cap of 262144$")):
+                numerator_polynomial(_hook(2**18 + 1))
+
+    def test_exponent_dtype_at_its_edge(self):
+        # (1 -m / 0 1) has det 1, and its largest bound is
+        # (det + 4) max_i (1|B|)_i + 1 = 5 (m + 1) + 1
+        k = (2**62 - 1) // 5
+        for m, dtype in ((k - 1, np.int64), (k, object)):
+            vm = prepare(IntMatrix(((1, -m), (0, 1))))
+            assert kernel._numerator_dtypes(vm) == (dtype, np.int64)
+            assert numerator_polynomial(vm) == kernel_unimodular(vm).numerator
+
+    def test_coefficient_dtype_at_its_edge(self):
+        # det^6 is below 2^62 at det 1290 and above it at 1291
+        assert 1290**6 < 2**62 < 1291**6
+        for d, dtype in ((1290, np.int64), (1291, object)):
+            vm = _corner(d)
+            assert kernel._numerator_dtypes(vm) == (np.int64, dtype)
+            form = assemble_kernel(vm)
+            assert max(c for _, c in form.numerator.items()) == d**6
+            assert all(type(c) is int for _, c in form.numerator.items())
+            assert oracle.certify(vm, form) is None
+
+    def test_certificate_dtype_at_its_edge(self):
+        # (1 -m / 0 1) has the one term t^(0, m), offsets (0, -m) and adj B
+        # column sums (1, m + 1), so the certificate's bound is
+        # m (m + 1) + m + 1 = (m + 1)^2
+        for m, dtype in ((2**31 - 2, np.int64), (2**31 - 1, object)):
+            vm = prepare(IntMatrix(((1, -m), (0, 1))))
+            form = assemble_kernel(vm)
+            assert [e for e, _ in form.numerator.items()] == [(0, m)]
+            assert oracle._certificate_dtype(vm, m, [0, -m]) is dtype
+            assert oracle.certify(vm, form) is None
+            wrong = dataclasses.replace(form, numerator=LaurentPolynomial(2, {(0, m): 2}))
+            assert oracle.certify(vm, wrong) == (0, m)
+
+    def test_coefficient_beyond_int64(self):
+        # the 8x8 cyclic (2, -1): det 255 and a coefficient of 1.79e19
+        vm = prepare(IntMatrix([[2 if j == i else -1 if j == (i + 1) % 8 else 0
+                                 for j in range(8)] for i in range(8)]))
+        form = assemble_kernel(vm)
+        assert len(form.numerator) == 65025
+        assert max(c for _, c in form.numerator.items()) > 2**63
+        assert oracle.certify(vm, form) is None
 
 
 VALID_BY_N = {

@@ -24,8 +24,9 @@ from bergpoly import (
     parse_matrix,
     prepare,
 )
-from bergpoly import _backend, oracle
-from bergpoly.kernel import BergmanKernelForm
+from bergpoly import _backend, kernel, oracle
+from bergpoly.int_linalg import parallelepiped
+from bergpoly.kernel import BergmanKernelForm, exponent_box, numerator_polynomial
 from bergpoly.laurent import LaurentPolynomial
 from bergpoly.special import (
     SignatureOneSpec,
@@ -35,6 +36,7 @@ from bergpoly.special import (
     kernel_unimodular,
     signature_matrix,
 )
+from bergpoly.tent import tent, tent_product_over_box
 
 import families
 from _reference import compare_uncut, identity, monomial_norm
@@ -418,12 +420,19 @@ class TestCorruptedFormReport:
         assert got == compare_uncut(worked_vm, window, form=form)
         assert [e for e, _, _ in got.mismatches] == [(-9, -8)]
 
-    def test_builds_the_cone_numerator_once(self, worked_vm):
-        form = _with_term(assemble_kernel(worked_vm), (1, 1), 5)
-        with mock.patch.object(oracle, "cone_numerator", wraps=oracle.cone_numerator) as cone:
-            got = compare_with_closed_form(worked_vm, Window.cube(2, 3), form=form)
+    def test_enumerates_the_tent_formula_once(self, worked_vm):
+        # a wrong form's report enumerates c once; a right form's none, and
+        # neither builds a numerator of its own
+        form = assemble_kernel(worked_vm)
+        with mock.patch.object(oracle, "tent_product_over_box",
+                               wraps=oracle.tent_product_over_box) as tents, \
+                mock.patch.object(kernel, "numerator_polynomial") as numerator:
+            assert compare_with_closed_form(worked_vm, Window.cube(2, 3), form=form).ok
+            assert tents.call_count == 0
+            got = compare_with_closed_form(worked_vm, Window.cube(2, 3),
+                                           form=_with_term(form, (1, 1), 5))
         assert [e for e, _, _ in got.mismatches] == [(1, 1)]
-        assert cone.call_count == 1
+        assert tents.call_count == 1 and numerator.call_count == 0
 
 
 def test_window_cap_at_its_edge():
@@ -492,14 +501,38 @@ def cone_reference(vm, closed=False, base_shift=0, drop_empty=False):
     return out
 
 
+def agrees_reference(vm, form, mass=True, closed=False, s_shift=0):
+    """The certificate's test term by term in Python integers: with
+    det^(n-1) * prefactor = p/q, p * num(e) = q * c(e) at each term,
+    c(e) = prod_j tent(det, (e + s) . a_j - 1), and the mass identity
+    sum_e p * num(e) = q * det^(n+1).  The flags make the mutants: no mass
+    check, the tent of the closed interval [0, det] (tent(det + 1, .)),
+    and s off by s_shift in its first coordinate."""
+    n, det = vm.n, vm.det
+    ratio = det ** (n - 1) * Fraction(form.prefactor)
+    p, q = ratio.numerator, ratio.denominator
+    s = [1 + 2 * sum(min(x, 0) for x in col) + (s_shift if i == 0 else 0)
+         for i, col in enumerate(zip(*vm.matrix.rows))]
+    k = det + 1 if closed else det
+
+    def c(e):
+        return math.prod(
+            tent(k, sum((x + si) * vm.adj.entry(i, j) for i, (x, si) in enumerate(zip(e, s))) - 1)
+            for j in range(n))
+
+    if any(p * v != q * c(e) for e, v in form.numerator.items()):
+        return False
+    return not mass or p * sum(v for _, v in form.numerator.items()) == q * det ** (n + 1)
+
+
 class TestCertificate:
-    """`certify`: the form against the lattice-cone numerator N on all of Z^n."""
+    """`certify`: the form against the paper's tent formula on all of Z^n."""
 
     def test_parallelepiped_has_det_points(self, family_2x2, family_3x3):
         mats = family_2x2 + subsample(family_3x3, 150)
         mats += [vm for n in range(4, 9) for vm in valid_family(n, 4)] + [_cyclic(5, 2, -1)]
         for vm in mats:
-            ys = list(oracle._parallelepiped(vm))
+            ys = [tuple(y) for y in parallelepiped(vm).tolist()]
             assert len(ys) == len(set(ys)) == vm.det
             for y in ys:
                 assert all(1 <= v <= vm.det for v in y)
@@ -508,12 +541,31 @@ class TestCertificate:
                            for i in range(vm.n))
 
     def test_cone_numerator_equals_its_definition(self, family_2x2, family_3x3):
+        # the numerator is N, in lexicographic order
         for vm in family_2x2 + subsample(family_3x3, 150) + valid_family(4, 6):
-            assert oracle.cone_numerator(vm) == cone_reference(vm), vm.matrix.rows
+            got = list(numerator_polynomial(vm).items())
+            assert got == sorted(cone_reference(vm).items()), vm.matrix.rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_mass_identity(self, data):
+        # sum over Z^n of c = det^(n+1), on the tent enumerator's values
+        n = data.draw(st.integers(2, 4))
+        rows = [[data.draw(st.integers(1, 3)) if i == j else
+                 -data.draw(st.integers(0, 2)) if j > i else 0 for j in range(n)]
+                for i in range(n)]
+        perm = data.draw(st.permutations(range(n)))
+        vm = prepare(IntMatrix([[rows[a][b] for b in perm] for a in perm]))
+        box = exponent_box(vm)
+        s = [1 + 2 * sum(min(x, 0) for x in col) for col in zip(*vm.matrix.rows)]
+        offsets = [sum(si * a for si, a in zip(s, col)) - 1 for col in zip(*vm.adj.rows)]
+        c = tent_product_over_box(box.lower, box.upper, [vm.det] * n, vm.adj.rows, offsets)
+        assert all(v > 0 for v in c.values())
+        assert sum(c.values()) == vm.det ** (n + 1)
 
     def test_accepts_assembled_forms(self, family_2x2, family_3x3):
         mats = family_2x2 + subsample(family_3x3, 300)
-        mats += [vm for n in (4, 5, 6) for vm in valid_family(n, 20)]
+        mats += [vm for n in (4, 5, 6, 7, 8) for vm in valid_family(n, 20)]
         mats += [vm for n in (8, 12, 16) for vm in unimodular_family(n, 2, seed=n)]
         mats += [_cyclic(n, 2, -1) for n in (5, 6, 7, 8)]
         mats += [_cyclic(4, 4, -3), _cyclic(3, 40, -39)]
@@ -573,10 +625,33 @@ class TestCertificate:
         ids=["closed-ends", "base+1", "base-1", "dropped-subset-term"],
     )
     def test_mutants_of_the_cone_numerator_fail(self, mutant, hartogs_vm, worked_vm):
-        mats = [hartogs_vm, worked_vm, _cyclic(3, 2, -1), *valid_family(4, 3)]
-        with mock.patch.object(oracle, "cone_numerator", lambda vm: cone_reference(vm, **mutant)):
-            for vm in mats:
-                assert oracle.certify(vm, assemble_kernel(vm)) is not None, vm.matrix.rows
+        # a form whose numerator is built from a mutant of the cone is refused
+        for vm in [hartogs_vm, worked_vm, _cyclic(3, 2, -1), *valid_family(4, 3)]:
+            numerator = LaurentPolynomial(vm.n, cone_reference(vm, **mutant))
+            form = dataclasses.replace(assemble_kernel(vm), numerator=numerator)
+            assert oracle.certify(vm, form) is not None, vm.matrix.rows
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [{"mass": False}, {"closed": True}, {"s_shift": 1}, {"s_shift": -1}],
+        ids=["no-mass-check", "closed-tent-ends", "s+1", "s-1"],
+    )
+    def test_mutants_of_the_certificate_fail(self, mutant, hartogs_vm, worked_vm):
+        # right forms (assembled, content folded) and wrong ones (the least
+        # term dropped, the largest coefficient raised): the certificate
+        # and its reference judge every one rightly, and each mutant of the
+        # reference judges at least one wrongly
+        cases = []
+        for vm in [hartogs_vm, worked_vm, _cyclic(3, 2, -1), *valid_family(4, 3)]:
+            form = assemble_kernel(vm)
+            least = min(e for e, _ in form.numerator.items())
+            e, c = max(form.numerator.items(), key=lambda item: (item[1], item[0]))
+            cases += [(vm, form, True), (vm, form.canonicalized(), True),
+                      (vm, _with_term(form, least, 0), False), (vm, _with_term(form, e, c + 1), False)]
+        for vm, form, right in cases:
+            assert (oracle.certify(vm, form) is None) == right
+            assert oracle._agrees(vm, form) == agrees_reference(vm, form) == right
+        assert any(agrees_reference(vm, form, **mutant) != right for vm, form, right in cases)
 
     def test_sweep_agrees_with_the_window(self, sweep_family):
         for vm in sweep_family:

@@ -17,14 +17,19 @@ from bergpoly import (
     kernel_generalized_hartogs,
     kernel_signature_one,
     kernel_unimodular,
-    numerator_coefficient,
     prepare,
     same_kernel,
 )
 from bergpoly.special import chain_bounds, chain_matrix, signature_matrix
 from bergpoly.tent import tent
 
-from _reference import chain_coefficient, chain_weight, identity, signature_coefficient
+from _reference import (
+    chain_coefficient,
+    chain_weight,
+    identity,
+    numerator_coefficient,
+    signature_coefficient,
+)
 from families import chain_specs, signature_specs, subsample, unimodular_family
 
 
