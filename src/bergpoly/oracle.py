@@ -100,8 +100,8 @@ import numpy as np
 
 from . import _backend
 from .errors import NonConvergentError, WindowTooLargeError
-from .int_linalg import ValidatedMatrix
-from .kernel import BergmanKernelForm, assemble_kernel, eval_kernel
+from .int_linalg import ValidatedMatrix, parallelepiped
+from .kernel import BergmanKernelForm, _numerator_dtypes, assemble_kernel, eval_kernel
 from .laurent import LaurentPolynomial
 from .tent import tent_product_over_box
 
@@ -112,8 +112,6 @@ CAUCHY_TOL = 1e-9
 # points a window's hull may have (`_plan`); a window over it is refused
 # whatever the form
 HULL_BUDGET_POINTS = 2**27
-# points `_shell_sum` sums in one block
-SLAB_POINTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -347,62 +345,40 @@ def compare_with_closed_form(
     return OracleReport(tuple((e, *wrong[e]) for e in sorted(wrong) if box.contains(e)), lo, hi)
 
 
-def _shell_sum(
-    b: np.ndarray, det: int, log_mod: np.ndarray, arg: np.ndarray, lo: int, hi: int
-) -> complex:
-    """Sum of the monomial series over one shell of pulled-back degree
-    vectors: all admissible m whose y = (m+1) adj B has max_j y_j in
-    (lo, hi], every y_j >= 1.
-
-    Truncating in the pulled-back coordinates y gives uniform geometric
-    decay per unit radius in every coordinate (each y_j-step multiplies
-    the term by |t^(b^j)|^(1/det) < 1), which a box in m itself does not:
-    admissible rays can be arbitrarily slanted.  The admissible exponents
-    are exactly m = y B / det - 1 for lattice points y >= 1 with
-    y B = 0 mod det.  Powers run in log space since single coordinates of
-    m may be very negative even when the admissible products stay bounded.
-
-    The shell is y_0 in (lo, hi] with the tail (y_1..y_n-1) anywhere in
-    [1, hi]^(n-1), then y_0 <= lo with tail max > lo; each part is summed
-    in blocks of at most max(SLAB_POINTS, tail size) points, so the
-    [1, hi]^n cube is never built.
-    """
-    n = b.shape[0]
-    det_adj = det ** (n - 1)
-    axis = np.arange(1, hi + 1, dtype=np.int64)
-    tail = np.stack(np.meshgrid(*[axis] * (n - 1), indexing="ij"), axis=-1)
-    tail = tail.reshape(-1, n - 1)
-    total = 0.0 + 0.0j
-    for first, rest in ((axis[lo:], tail), (axis[:lo], tail[tail.max(axis=1) > lo])):
-        rest_b = rest @ b[1:]
-        rest_weight = rest.astype(np.float64).prod(axis=1)
-        rows = max(1, SLAB_POINTS // max(1, len(rest)))
-        for s in range(0, len(first), rows):
-            y0 = first[s : s + rows]
-            yb = y0[:, None, None] * b[0] + rest_b[None]
-            i, k = np.nonzero((yb % det == 0).all(axis=2))
-            if not len(i):
-                continue
-            m = (yb[i, k] // det - 1).astype(np.float64)
-            weights = y0[i] * rest_weight[k] / det_adj
-            powers = np.exp(m @ log_mod + 1j * (m @ arg))
-            total += complex(np.sum(weights * powers))
-    return total
-
-
 def _partial_sums(vm: ValidatedMatrix, t: np.ndarray, radii: Sequence[int]):
     """(radius, partial sum) along increasing radii: the monomial series
-    summed over every admissible m with (m+1) adj B <= radius entrywise.
-    Each radius adds only its new shell to a running total."""
-    b = np.asarray(vm.matrix.rows, dtype=np.int64)
-    log_mod = np.log(np.abs(t))
-    arg = np.angle(t)
-    total = 0.0 + 0.0j
-    reached = 0
+    summed over every admissible m with y = (m+1) adj B <= radius
+    entrywise, one coset of the lattice cone at a time.  Truncating in y,
+    not in m, gives geometric decay in every coordinate (each step of det
+    in y_j multiplies a term by |u_j| < 1 below), which a box in m does
+    not: admissible rays can be arbitrarily slanted.
+
+    Every admissible y is uniquely y' + det k with k >= 0 and y' one of
+    the det points of `parallelepiped` (module docstring), and then
+    m + 1 = x' + sum_j k_j b_j with x' = y' B / det.  The cube y <= R
+    bounds each k_j alone, by (R - y'_j) / det, and the term
+    prod_j y_j t^m / det^(n-1) is lead * prod_j (y'_j + det k_j) u_j^k_j
+    with lead = t^(x' - 1) / det^(n-1) and u_j = t^(b_j).  So a coset's
+    part of the cube's sum is lead times the product over j of the
+    one-dimensional sums of (y'_j + det k) u_j^k over
+    0 <= k <= (R - y'_j) / det: the same terms, each summed once, and
+    never in closed form.  A coset with some y'_j above the largest
+    radius has no term in any of the cubes."""
+    det = vm.det
+    dtype = _numerator_dtypes(vm)[0]
+    y = parallelepiped(vm, dtype)
+    y = y[(y <= radii[-1]).all(axis=1)]
+    # x' = y' B / det, exact
+    x = y @ np.array(vm.matrix.rows, dtype=dtype) // det
+    log_t = np.log(t)
+    lead = np.exp((x - 1).astype(np.float64) @ log_t) / det ** (vm.n - 1)
+    k = np.arange((radii[-1] - 1) // det + 1)
+    # (coset, j, k) -> y'_j + det k, and u_j^k
+    ys = y.astype(np.float64)[:, :, None] + det * k
+    powers = np.exp(np.multiply.outer(np.array(vm.matrix.rows, np.float64) @ log_t, k))
     for radius in radii:
-        total += _shell_sum(b, vm.det, log_mod, arg, reached, radius)
-        reached = radius
-        yield radius, total
+        sums = np.where(ys <= radius, ys * powers, 0).sum(axis=2)
+        yield radius, complex(lead @ sums.prod(axis=1))
 
 
 def numeric_spot_check(
@@ -419,9 +395,11 @@ def numeric_spot_check(
 
     The radii are step, 2 step, ... and `terms`, step = max(4, terms // 10);
     the partial sum at a radius covers every admissible m with
-    (m+1) adj B <= radius entrywise.  Each radius adds only its new shell
-    (max_j y_j between the previous radius and this one) to a running
-    total, so the walk sums every term once."""
+    y = (m+1) adj B <= radius entrywise.  Those y are the lattice points
+    y' + det k (k >= 0) of the det cosets, so each radius sums, per
+    coset, t^(x' - 1) / det^(n-1) times a product of n one-dimensional
+    sums over k_j (`_partial_sums`): the cube's terms, and none of its
+    points that are not lattice points."""
     if form is None:
         form = assemble_kernel(vm)
     t = np.asarray(

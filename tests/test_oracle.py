@@ -751,7 +751,7 @@ def reference_walk(vm, t, terms, tol=1e-9):
 
 
 class TestSpotWalk:
-    """The walk's running shell totals against from-scratch partial sums."""
+    """The walk's coset-by-coset partial sums against from-scratch cube scans."""
 
     def _walk(self, monkeypatch, vm, p, terms):
         seen = []
@@ -787,6 +787,17 @@ class TestSpotWalk:
             p = sample_interior_point(vm, form, rng)
             assert p is not None
             self._check(monkeypatch, vm, p, terms=128)
+        # n = 4 at terms 32: the reference scans a 32^4 cube per radius
+        for vm in [vm for vm in valid_family(4, 8) if vm.det > 1][:2]:
+            p = sample_interior_point(vm, assemble_kernel(vm), rng)
+            assert p is not None
+            self._check(monkeypatch, vm, p, terms=32)
+
+    def test_cosets_beyond_the_largest_radius(self, monkeypatch):
+        # det 4096, and all but 128 cosets have y'_2 > 128
+        vm = prepare(IntMatrix(((4096, -1), (0, 1))))
+        assert vm.det == 4096
+        self._check(monkeypatch, vm, [0.9995, 0.5], terms=128)
 
     def test_walk_without_convergence(self, monkeypatch, hartogs_vm):
         self._check(monkeypatch, hartogs_vm, [0.69, 0.7], terms=40)
