@@ -63,6 +63,8 @@ CALLS = {
     "verify_6x6_window5": ("verify", "--matrix", _cyclic(6, 2, -1), "--window", "5"),
     "verify_5x5_default": ("verify", "--matrix", _cyclic(5, 2, -1)),
     "kernel_3x3_40": ("kernel", "--matrix", _cyclic(3, 40, -39)),
+    # the largest known numerator: 65,025 terms, 13 MB of JSON
+    "kernel_8x8_cyclic": ("kernel", "--matrix", _cyclic(8, 2, -1)),
 }
 FALLBACK = "fallback_6x6_window5"
 # the corrupted coefficient of the fallback form

@@ -27,7 +27,8 @@ exponent, with coefficient prod_{j not in S} y_j prod_{j in S} (d - y_j)
 = c(x), and N is expanded with no merge: all cosets at once, one row at
 a time, row j adding the term e + b_j with coefficient c (d - y_j) only
 where y_j < d.  A unimodular matrix gives one term.  The terms are
-sorted into lexicographic order once, at the end.
+sorted into lexicographic order once, at the end, the canonical order
+that LaurentPolynomial keeps.
 
 One path, two dtype choices.  Every coefficient is at most det^n (each
 factor y_j or det - y_j is at most det), so the coefficients are int64
@@ -166,13 +167,14 @@ def numerator_polynomial(vm: ValidatedMatrix) -> LaurentPolynomial:
 def denominator_factors(vm: ValidatedMatrix) -> list[LaurentPolynomial]:
     """One unsquared binomial t^((b_-)^j) - t^((b_+)^j) per row of B;
     squaring is implicit in the assembled form.  A normalized row is
-    nonzero, so its two exponent vectors differ."""
-    return [
-        LaurentPolynomial._from_clean(
-            vm.n, {tuple(max(-x, 0) for x in row): 1, tuple(max(x, 0) for x in row): -1}
-        )
-        for row in vm.matrix.rows
-    ]
+    nonzero, so its two exponent vectors differ; each map is written in
+    canonical order."""
+    factors = []
+    for row in vm.matrix.rows:
+        a, b = tuple(max(-x, 0) for x in row), tuple(max(x, 0) for x in row)
+        terms = {a: 1, b: -1} if a < b else {b: -1, a: 1}
+        factors.append(LaurentPolynomial._from_clean(vm.n, terms))
+    return factors
 
 
 @dataclass(frozen=True)
@@ -229,8 +231,8 @@ def same_kernel(a: BergmanKernelForm, b: BergmanKernelForm) -> bool:
         return False
     if ca.numerator != cb.numerator:
         return False
-    fa = sorted(tuple(f.sign_normalized().sorted_terms()) for f in ca.factors)
-    fb = sorted(tuple(f.sign_normalized().sorted_terms()) for f in cb.factors)
+    fa = sorted(tuple(f.sign_normalized().items()) for f in ca.factors)
+    fb = sorted(tuple(f.sign_normalized().items()) for f in cb.factors)
     return fa == fb
 
 
@@ -243,11 +245,12 @@ def canonicity_check(form: BergmanKernelForm) -> int | None:
     when the numerator's coefficients sum to zero on every coset of Zs
     (LaurentPolynomial.divisible_by_binomial): O(terms * n) per factor,
     with no division.  The coset sums add up to the total coefficient sum,
-    so a numerator whose total is nonzero is divisible by no factor, and
-    divisible_by_binomial says so after one sum.  Every general numerator
-    is a sum of positive tent products, so this check costs one sum per
-    factor there; the coset sums still run for a numerator that totals
-    zero, such as a corrupted one or a multiple of a factor."""
+    so a numerator whose total is nonzero is divisible by no factor.  Every
+    general numerator is a sum of positive tent products, so this check
+    costs one sum per form there; the coset sums run only for a numerator
+    that totals zero, such as a corrupted one or a multiple of a factor."""
+    if sum(form.numerator.values()):
+        return None
     for j, factor in enumerate(form.factors):
         if form.numerator.divisible_by_binomial(factor):
             return j

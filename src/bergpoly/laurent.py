@@ -5,8 +5,12 @@ to nonzero int coefficients: every kernel numerator is a sum of tent
 products and every denominator factor a binomial +-(t^a - t^b), so no
 polynomial the package builds needs another coefficient type; rational
 scalars such as the prefactor live beside the polynomials.  The canonical
-term order is lexicographic on the exponent tuple; serialization,
-equality and evaluation all follow it.
+term order is lexicographic on the exponent tuple, and every polynomial
+keeps its term map in that order from construction on: the public
+constructor sorts once, and the trusted builders that skip it
+(`_from_clean`) hand over maps already in order.  So nothing re-sorts
+terms afterwards; serialization and evaluation read `items()` as they
+stand, and the lex-leading term is the last one.
 
 The class has no ring arithmetic: the package builds polynomials from
 term maps and only negates, compares, tests for binomial divisibility
@@ -47,7 +51,7 @@ class LaurentPolynomial:
                     )
                 cleaned[e] = c
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_terms", cleaned)
+        object.__setattr__(self, "_terms", dict(sorted(cleaned.items())))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPolynomial is immutable")
@@ -56,11 +60,12 @@ class LaurentPolynomial:
 
     @classmethod
     def _from_clean(cls, n: int, terms: dict[Exponent, int]) -> "LaurentPolynomial":
-        """Wrap a term map that is already clean, without copying or checking
-        it: tuple exponents of length n, nonzero int coefficients.  The
+        """Wrap a term map that is already clean, without copying, checking
+        or sorting it: tuple exponents of length n, nonzero int
+        coefficients, keys in canonical (lexicographic) order.  The
         polynomial takes ownership of terms.  Only the class itself and its
-        trusted builders call this; LaurentPolynomial(n, terms) checks
-        everything."""
+        trusted builders call this; LaurentPolynomial(n, terms) checks and
+        sorts everything."""
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_terms", terms)
@@ -79,11 +84,14 @@ class LaurentPolynomial:
         return len(self._terms)
 
     def items(self):
+        """(exponent, coefficient) pairs in canonical order."""
         return self._terms.items()
 
-    def sorted_terms(self) -> list[tuple[Exponent, int]]:
-        """Terms in lexicographic exponent order (the canonical order)."""
-        return sorted(self._terms.items())
+    def keys(self):
+        return self._terms.keys()
+
+    def values(self):
+        return self._terms.values()
 
     def min_exponents(self) -> Exponent:
         """Per-coordinate minimum over the support (zero polynomial: all 0)."""
@@ -100,7 +108,7 @@ class LaurentPolynomial:
         """Negated if needed so the lex-leading coefficient is positive."""
         if not self._terms:
             return self
-        if self._terms[max(self._terms)] < 0:
+        if next(reversed(self._terms.values())) < 0:
             return -self
         return self
 
@@ -171,7 +179,7 @@ class LaurentPolynomial:
             raise DimensionMismatchError(f"point has {len(point)} coords, expected {self.n}")
         pt = [complex(x) for x in point]
         total = 0j
-        for e, c in self.sorted_terms():
+        for e, c in self._terms.items():
             term = complex(c)
             for x, k in zip(pt, e):
                 if k == 0:
@@ -194,12 +202,12 @@ class LaurentPolynomial:
             "n": self.n,
             "terms": [
                 {"exp": [*e], "num": str(c), "den": "1"}
-                for e, c in self.sorted_terms()
+                for e, c in self._terms.items()
             ],
         }
 
     def __repr__(self) -> str:
         if not self._terms:
             return "LaurentPolynomial(0)"
-        parts = [f"{c}*t^{e}" for e, c in self.sorted_terms()]
+        parts = [f"{c}*t^{e}" for e, c in self._terms.items()]
         return "LaurentPolynomial(" + " + ".join(parts) + ")"

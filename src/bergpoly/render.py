@@ -14,16 +14,19 @@ polynomial term lists that make up most of the output.  The writer
 formats the shapes the payloads are made of (str-keyed dicts, plain
 ints, lists of ints, LaurentPolynomial values) itself and hands every
 other value to json, with the same default, so the two cannot disagree
-on a value it does not know.  A polynomial is written straight from its
-sorted terms, each with one `%` template built for its indent and
-variable count; only ints are substituted, and a decimal integer needs
-no JSON escaping.
+on a value it does not know.  A polynomial keeps its terms in the
+canonical order, so it is written straight from them, with no sort: its
+whole term list is one `%` template, the term template built for its
+indent and variable count repeated once per term, filled in one call
+from a flat list of the terms' exponents and coefficients.  Only ints
+are substituted, and a decimal integer needs no JSON escaping.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 
 from .kernel import BergmanKernelForm
@@ -100,20 +103,28 @@ def _ints(xs: list[int], nl: str) -> str:
 
 
 def _poly(p: LaurentPolynomial, nl: str) -> str:
-    """p.to_json_dict() as json writes it at indent nl.  Every term is
-    one template filled with (*exp, coefficient), all ints; "den" is the
-    literal "1"."""
+    """p.to_json_dict() as json writes it at indent nl.  The term list is
+    one template, the term template repeated once per term, filled by one
+    `%` with the flat list of every term's (*exp, coefficient), all ints,
+    in the polynomial's own (canonical) order; "den" is the literal "1"."""
+    n, count = p.n, len(p)
     key = nl + "  "
-    terms = p.sorted_terms()
-    if not terms:
-        return f'{{{key}"n": {p.n},{key}"terms": []{nl}}}'
+    if not count:
+        return f'{{{key}"n": {n},{key}"terms": []{nl}}}'
     item = key + "  "
     field = item + "  "
     entry = field + "  "
-    exp = f"[{entry}{(',' + entry).join(['%d'] * p.n)}{field}]" if p.n else "[]"
+    exp = f"[{entry}{(',' + entry).join(['%d'] * n)}{field}]" if n else "[]"
     template = f'{{{field}"den": "1",{field}"exp": {exp},{field}"num": "%d"{item}}}'
-    body = ("," + item).join([template % (*e, c) for e, c in terms])
-    return f'{{{key}"n": {p.n},{key}"terms": [{item}{body}{key}]{nl}}}'
+    # column j of the flat list holds exponent j of every term, column n
+    # the coefficients
+    flat = [0] * (count * (n + 1))
+    exps = [*chain.from_iterable(p.keys())]
+    for j in range(n):
+        flat[j::n + 1] = exps[j::n]
+    flat[n::n + 1] = p.values()
+    body = ("," + item).join([template] * count) % tuple(flat)
+    return f'{{{key}"n": {n},{key}"terms": [{item}{body}{key}]{nl}}}'
 
 
 def form_to_json_dict(form: BergmanKernelForm) -> dict:
@@ -156,7 +167,7 @@ def poly_terms(p: LaurentPolynomial, syntax: tuple[str, str, str]) -> str:
     polynomial is "0"."""
     var, power, sep = syntax
     chunks = []
-    for e, c in p.sorted_terms():
+    for e, c in p.items():
         parts = [var % (i + 1) if k == 1 else power % (i + 1, k) for i, k in enumerate(e) if k]
         mag = abs(c)
         if mag != 1 or not parts:

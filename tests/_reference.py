@@ -51,6 +51,12 @@ def scaled(p: LaurentPolynomial, k: int) -> LaurentPolynomial:
     return LaurentPolynomial(p.n, {e: k * c for e, c in p.items()})
 
 
+def in_canonical_order(p: LaurentPolynomial) -> bool:
+    """Whether p's terms come out of items() in lexicographic order."""
+    items = list(p.items())
+    return items == sorted(items)
+
+
 def one(n: int) -> LaurentPolynomial:
     return LaurentPolynomial.monomial(n, 1, (0,) * n)
 

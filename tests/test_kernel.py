@@ -33,7 +33,15 @@ from bergpoly import kernel, oracle
 from bergpoly.int_linalg import parallelepiped
 
 import families
-from _reference import add, identity, mul, numerator_coefficient, one, scaled
+from _reference import (
+    add,
+    identity,
+    in_canonical_order,
+    mul,
+    numerator_coefficient,
+    one,
+    scaled,
+)
 from conftest import sample_interior_point
 
 
@@ -300,6 +308,28 @@ class TestAssemble:
         canon = form.canonicalized()
         assert all(type(c) is int for _, c in canon.numerator.items())
         assert scaled(canon.numerator, 3) == form.numerator
+
+
+class TestCanonicalOrder:
+    """Every polynomial a form holds keeps its terms in lexicographic order
+    from construction; nothing sorts them afterwards."""
+
+    def test_numerator_polynomial(self, family_2x2, family_3x3):
+        larger = [vm for n in range(4, 9) for vm in families.valid_family(n, 20)]
+        for vm in family_2x2 + family_3x3 + larger:
+            assert in_canonical_order(numerator_polynomial(vm)), vm.matrix.rows
+
+    def test_factors_and_derived_polynomials(self, sweep_family):
+        content = prepare(IntMatrix(((1, -3, 0), (0, 3, -1), (0, 0, 1))))
+        for vm in sweep_family[:60] + [content]:
+            form = assemble_kernel(vm)
+            canon = form.canonicalized()
+            polys = [*denominator_factors(vm), canon.numerator, -form.numerator]
+            polys += [f.sign_normalized() for f in form.factors]
+            polys += [(-f).sign_normalized() for f in form.factors]
+            for p in polys:
+                assert in_canonical_order(p), vm.matrix.rows
+        assert assemble_kernel(content).canonicalized().prefactor == Fraction(1, 3)
 
 
 class TestCanonicity:

@@ -13,7 +13,7 @@ from bergpoly import (
 )
 from bergpoly.render import LATEX, poly_terms
 
-from _reference import add, mul, one, try_exact_divide
+from _reference import add, in_canonical_order, mul, one, try_exact_divide
 
 P = poly = LaurentPolynomial
 
@@ -286,13 +286,28 @@ class TestMonomialConstructor:
     @settings(max_examples=150, deadline=None)
     @given(small_polys())
     def test_operations_keep_terms_clean(self, a):
-        # negation skips the public constructor's checks, so its term map
-        # must already be what that constructor would build
+        # negation skips the public constructor's checks and sort, so its
+        # term map must already be what that constructor would build, in
+        # the same order
         for r in (-a, a.sign_normalized()):
-            assert dict(r.items()) == dict(P(2, dict(r.items())).items())
+            assert list(r.items()) == list(P(2, dict(r.items())).items())
             for e, c in r.items():
                 assert type(e) is tuple and len(e) == 2 and c != 0
                 assert type(c) is int
+
+
+class TestCanonicalOrder:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(-4, 4)),
+        st.randoms(use_true_random=False),
+    )
+    def test_constructor_sorts_a_shuffled_map(self, terms, rng):
+        items = list(terms.items())
+        rng.shuffle(items)
+        p = P(2, dict(items))
+        assert in_canonical_order(p)
+        assert dict(p.items()) == {e: c for e, c in terms.items() if c}
 
 
 class TestSerialization:

@@ -212,6 +212,11 @@ def test_matrix_payloads(rows):
         ((2, -1), (0, 1)),
         ((1, -3, 0), (0, 3, -1), (0, 0, 1)),
         ((3, -1, 0), (0, 3, -1), (-1, 0, 3)),
+        # unimodular: one numerator term
+        ((1, -1, 1), (0, 1, -1), (0, 0, 1)),
+        # the 8x8 cyclic (2, -1): 65,025 terms, a coefficient of 1.79e19
+        tuple(tuple(2 if j == i else -1 if j == (i + 1) % 8 else 0 for j in range(8))
+              for i in range(8)),
     ],
 )
 def test_kernel_forms(rows):

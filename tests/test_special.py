@@ -27,6 +27,7 @@ from _reference import (
     chain_coefficient,
     chain_weight,
     identity,
+    in_canonical_order,
     numerator_coefficient,
     signature_coefficient,
 )
@@ -207,3 +208,16 @@ def test_constructors_write_their_rows_binomials(family_2x2):
     forms += [kernel_generalized_hartogs(spec) for spec in chain_specs()]
     for form in forms:
         assert form.factors == tuple(denominator_factors(form.source)), form.source.matrix.rows
+
+
+def test_witnesses_keep_canonical_order(family_2x2):
+    # the witnesses hand tent_product_over_box's maps to the polynomial
+    # unsorted, so those maps must already be in lexicographic order
+    forms = [kernel_dim2(vm) for vm in family_2x2]
+    for n in (2, 3, 4, 5):
+        forms += [kernel_unimodular(vm) for vm in unimodular_family(n, 5, seed=n)]
+    forms += [kernel_signature_one(spec) for spec in subsample(signature_specs(), 60)]
+    forms += [kernel_generalized_hartogs(spec) for spec in chain_specs()]
+    for form in forms:
+        for p in (form.numerator, *form.factors):
+            assert in_canonical_order(p), form.source.matrix.rows
