@@ -1,12 +1,12 @@
 """Window fill for the series oracle: the tests' plain reference.
 
-No command fills a window (`verify` reads its report off the lattice-cone
-numerator); `oracle.oracle_series` and the tests' uncut comparison do.
-The fill broadcasts y = (m + 1) @ adj one column at a time, each factor
-clamped to max(y_j, 0) (an exponent with some y_j < 1 is inadmissible and
-gets 0) and multiplied into the output.  The dtype is int64 when the
-exact a-priori bound on the products is below 2**62, and object (exact
-Python integers) otherwise.
+No command fills a window (`verify` reads its report off the paper's tent
+formula, `oracle._mismatches`); `oracle.oracle_series` and the tests'
+uncut comparison do.  The fill broadcasts y = (m + 1) @ adj one column
+at a time, each factor clamped to max(y_j, 0) (an exponent with some
+y_j < 1 is inadmissible and gets 0) and multiplied into the output.  The
+dtype is int64 when the exact a-priori bound on the products is below
+2**62, and object (exact Python integers) otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +16,10 @@ import math
 import numpy as np
 
 from .errors import WindowTooLargeError
-from .tent import _INT64_SAFE, _MAX_BYTES
+from .tent import _INT64_SAFE
+
+# numpy's limit on the bytes of one array
+_MAX_BYTES = np.iinfo(np.intp).max
 
 
 def product_bound(adj_rows, lo, hi) -> int:

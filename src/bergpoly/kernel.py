@@ -24,13 +24,23 @@ term of x' and a row subset S has exponent x with (x - base) adj B =
 y + d 1_S, and since every y_j lies in [1, d] and row j enters S only
 when y_j < d, (x', S) is read back from x.  So each term is its own
 exponent, with coefficient prod_{j not in S} y_j prod_{j in S} (d - y_j)
-= c(x), and N is expanded with no merge: all cosets at once, one row at
-a time, row j adding the term e + b_j with coefficient c (d - y_j) only
-where y_j < d.  A unimodular matrix gives one term.  The terms are
-sorted into lexicographic order once, at the end, the canonical order
-that LaurentPolynomial keeps.
+= c(x), and N is expanded with no merge: one row at a time, row j
+adding the term e + b_j with coefficient c (d - y_j) only where y_j < d.
+A unimodular matrix gives one term.  The terms are sorted into
+lexicographic order once, at the end, the canonical order that
+LaurentPolynomial keeps.
 
-One path, two dtype choices.  Every coefficient is at most det^n (each
+Two paths, chosen by det * 2^n, the bound on the number of terms.  At or
+below SMALL_NUMERATOR_TERMS = 64 the cosets are walked one at a time in
+exact Python integers, over the Hermite grid of `int_linalg.hermite_rows`
+with y = ((r adj B - 1) mod det) + 1 as in `int_linalg.parallelepiped`;
+that needs no bound and cannot reach the cap.  numpy pays a fixed cost of
+about 15 array calls per row of B whatever the size, which is most of
+the time of a small numerator: measured on every numerator of the
+benchmark's seed-1 workloads, the Python loop is 3.8x faster at
+det * 2^n <= 4, 1.7x at <= 32 and 1.3x at <= 64, even at <= 128, and
+2.3x slower at <= 256.  Above 64 all cosets are expanded at once in
+numpy, with two dtype choices.  Every coefficient is at most det^n (each
 factor y_j or det - y_j is at most det), so the coefficients are int64
 when det^n < 2**62 and exact Python integers otherwise (the 8x8 cyclic
 (2, -1) has det 255 and a coefficient of 1.79e19).  Every entry of
@@ -42,11 +52,12 @@ int64 when det * max_j (column sum of adj B)_j and
 otherwise.
 
 The number of terms is known before they are built: det B cosets, the
-one of y having 2^#{j : y_j < det} terms.  A matrix whose det B alone
-is over NUMERATOR_BUDGET_TERMS is refused before any array exists, and
-one whose exact count is over it right after the cosets' y are built,
-with NumeratorTooLargeError naming n, det B and the count; a
-MemoryError while the terms are built is a NumeratorTooLargeError too.
+one of y having 2^#{j : y_j < det} terms.  On the numpy path a matrix
+whose det B alone is over NUMERATOR_BUDGET_TERMS is refused before any
+array exists, and one whose exact count is over it right after the
+cosets' y are built, with NumeratorTooLargeError naming n, det B and the
+count; a MemoryError while the terms are built is a
+NumeratorTooLargeError too.
 
 The coefficient support lives in a finite box.  NOTE the index
 convention: the box bounds use COLUMN sums of |B| = B_+ + B_-, i.e.
@@ -62,7 +73,9 @@ exponent box are read off the matrix.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -74,12 +87,22 @@ from .errors import (
     EvaluationAtSingularityError,
     NumeratorTooLargeError,
 )
-from .int_linalg import IntMatrix, NormalizedMatrix, ValidatedMatrix, parallelepiped, prepare
+from .int_linalg import (
+    IntMatrix,
+    NormalizedMatrix,
+    ValidatedMatrix,
+    hermite_rows,
+    parallelepiped,
+    prepare,
+)
 from .laurent import LaurentPolynomial
 
 # terms the numerator may have (`numerator_polynomial`); a matrix over it
 # is refused before its terms are built
 NUMERATOR_BUDGET_TERMS = 2**18
+# det * 2^n bounds a numerator's terms; at or below this one it is
+# expanded in Python integers, which beat numpy's fixed cost per call
+SMALL_NUMERATOR_TERMS = 64
 
 
 @dataclass(frozen=True)
@@ -131,6 +154,37 @@ def numerator_polynomial(vm: ValidatedMatrix) -> LaurentPolynomial:
     """The lattice-cone numerator N of the module docstring, sum of
     c(nu) t^nu, in lexicographic order; NumeratorTooLargeError over
     NUMERATOR_BUDGET_TERMS terms."""
+    if vm.det << vm.n <= SMALL_NUMERATOR_TERMS:
+        return _numerator_in_python(vm)
+    return _numerator_in_numpy(vm)
+
+
+def _numerator_in_python(vm: ValidatedMatrix) -> LaurentPolynomial:
+    """N expanded coset by coset in exact Python integers: the path for
+    det * 2^n <= SMALL_NUMERATOR_TERMS, exact at any size."""
+    n, det, rows = vm.n, vm.det, vm.matrix.rows
+    h = hermite_rows(rows)
+    cols = list(zip(*rows))
+    adj_cols = list(zip(*vm.adj.rows))
+    base = [2 * sum(max(-x, 0) for x in col) - 1 for col in cols]
+    terms = []
+    for r in itertools.product(*(range(h[i][i]) for i in range(n))):
+        y = [(sum(map(operator.mul, r, col)) - 1) % det + 1 for col in adj_cols]
+        # x' = y B / det, exact
+        coset = [(tuple(sum(map(operator.mul, y, col)) // det + b
+                        for col, b in zip(cols, base)), 1)]
+        for yj, row in zip(y, rows):
+            grown = [(tuple(map(operator.add, e, row)), c * (det - yj))
+                     for e, c in coset] if yj < det else []
+            coset = [(e, c * yj) for e, c in coset] + grown
+        terms += coset
+    terms.sort()
+    return LaurentPolynomial._from_clean(n, dict(terms))
+
+
+def _numerator_in_numpy(vm: ValidatedMatrix) -> LaurentPolynomial:
+    """N expanded for all cosets at once in numpy, in the dtypes of
+    `_numerator_dtypes`: the path for det * 2^n > SMALL_NUMERATOR_TERMS."""
     n, det = vm.n, vm.det
     if det > NUMERATOR_BUDGET_TERMS:
         raise _too_large(vm, f"at least {det}")

@@ -41,10 +41,11 @@ nothing and is read as 0, so it needs no bound.
 Each level's row count is the last running sum of its intervals'
 lengths, a Python integer before anything is allocated; the sums run in
 Python integers when the box has 2**63 points or more, where int64 could
-wrap.  A level with no row ends the enumeration.  One whose rows do not
-fit in memory, or have more bytes than any array can hold, raises
-NumeratorTooLargeError naming the level and its row count, not a bare
-MemoryError.
+wrap.  A level with no row ends the enumeration.  One with more rows
+than kernel.NUMERATOR_BUDGET_TERMS, the cap the general numerator has,
+raises NumeratorTooLargeError naming the level and its row count before
+it is allocated, and so does one whose rows do not fit in memory, not a
+bare MemoryError.
 """
 
 from __future__ import annotations
@@ -55,10 +56,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidKError, NumeratorTooLargeError
+from .kernel import NUMERATOR_BUDGET_TERMS
 
 _INT64_SAFE = 2**62
-# numpy's limit on the bytes of one array
-_MAX_BYTES = np.iinfo(np.intp).max
 
 
 def tent(k: int, r: int) -> int:
@@ -149,11 +149,10 @@ def tent_product_over_box(
     # row counts sum in Python integers once int64 could overflow
     volume = math.prod(hi - lo + 1 for lo, hi in zip(lower, upper))
     sum_dtype = None if volume < 2**63 else object
-    row_bytes = grow[0].nbytes
 
     try:
-        if size * row_bytes > _MAX_BYTES:
-            raise MemoryError
+        if size > NUMERATOR_BUDGET_TERMS:
+            raise _too_many(n, level, size)
         rows = np.arange(size, dtype=dtype)[:, None] * grow[0] + grow[n]
         for i, step in enumerate(steps, 1):
             # -low and the end of every prefix's interval for v_i
@@ -163,8 +162,8 @@ def tent_product_over_box(
             level, size = i + 1, int(stops[-1])
             if not size:
                 return {}
-            if size * row_bytes > _MAX_BYTES:
-                raise MemoryError
+            if size > NUMERATOR_BUDGET_TERMS:
+                raise _too_many(n, level, size)
             counts = counts.astype(np.intp, copy=False)
             rows = rows.repeat(counts, axis=0)
             # row t of a prefix whose rows stop before `stop` takes v_i =
@@ -180,3 +179,10 @@ def tent_product_over_box(
             f"the numerator enumeration in dimension {n} ran out of memory at "
             f"level {level} of {n}, which has {size} rows"
         ) from None
+
+
+def _too_many(n: int, level: int, size: int) -> NumeratorTooLargeError:
+    return NumeratorTooLargeError(
+        f"the numerator enumeration in dimension {n} reaches level {level} of {n}, "
+        f"which has {size} rows, more than the cap of {NUMERATOR_BUDGET_TERMS}"
+    )

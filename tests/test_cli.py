@@ -455,12 +455,25 @@ def test_malformed_input_is_input_error(capsys, argv):
     ],
 )
 def test_size_no_array_can_hold_is_input_error(argv, error):
-    # each numerator level or oracle hull has more bytes than numpy lets one
-    # array have, so it must be refused by its size before any allocation
+    # each numerator or numerator level is over the cap of 2^18 terms, and
+    # the oracle hull has more bytes than numpy lets one array have, so each
+    # must be refused by its size before any allocation
     proc = run_limited(15 * 10**8, *argv, OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 1 and proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(error + ": "), proc.stderr
+
+
+def test_enumeration_over_the_cap_is_refused_at_once(capsys):
+    # the same sig1 case in process and with no memory limit: level 1's
+    # row count is over the numerator's cap before anything is allocated
+    start = time.perf_counter()
+    code, out, err = run(capsys, "special", "--family", "sig1", "--params", "999999999999999999,1")
+    assert time.perf_counter() - start < 1
+    assert code == 1 and out == ""
+    assert err.splitlines() == [
+        "NumeratorTooLargeError: the numerator enumeration in dimension 2 reaches level 1 "
+        "of 2, which has 1999999999999999997 rows, more than the cap of 262144"]
 
 
 @pytest.mark.parametrize("family", ["sig1", "pz"])

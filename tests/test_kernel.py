@@ -157,11 +157,13 @@ class TestNumeratorBounds:
 
     def test_exponent_dtype_at_its_edge(self):
         # (1 -m / 0 1) has det 1, and its largest bound is
-        # (det + 4) max_i (1|B|)_i + 1 = 5 (m + 1) + 1
+        # (det + 4) max_i (1|B|)_i + 1 = 5 (m + 1) + 1; det * 2^n = 4 sends
+        # it to the Python path, so the numpy expansion is called directly
         k = (2**62 - 1) // 5
         for m, dtype in ((k - 1, np.int64), (k, object)):
             vm = prepare(IntMatrix(((1, -m), (0, 1))))
             assert kernel._numerator_dtypes(vm) == (dtype, np.int64)
+            assert kernel._numerator_in_numpy(vm) == kernel_unimodular(vm).numerator
             assert numerator_polynomial(vm) == kernel_unimodular(vm).numerator
 
     def test_coefficient_dtype_at_its_edge(self):
@@ -196,6 +198,55 @@ class TestNumeratorBounds:
         assert len(form.numerator) == 65025
         assert max(c for _, c in form.numerator.items()) > 2**63
         assert oracle.certify(vm, form) is None
+
+
+@st.composite
+def valid_matrices(draw):
+    """n = 2..6: a triangular matrix with a positive diagonal and
+    nonpositive entries on one side (its inverse is nonnegative), its
+    rows and columns permuted alike."""
+    n = draw(st.integers(2, 6))
+    diag = draw(st.lists(st.integers(1, 4 if n < 5 else 3), min_size=n, max_size=n))
+    rows = [[diag[i] if i == j else draw(st.integers(-6, 0)) if j > i else 0
+             for j in range(n)] for i in range(n)]
+    order = draw(st.permutations(range(n)))
+    return prepare(IntMatrix([[rows[i][j] for j in order] for i in order]))
+
+
+def assert_paths_agree(vm):
+    python, numpy = kernel._numerator_in_python(vm), kernel._numerator_in_numpy(vm)
+    assert list(python.items()) == list(numpy.items()), vm.matrix.rows
+
+
+class TestNumeratorPaths:
+    """The Python expansion (det * 2^n <= SMALL_NUMERATOR_TERMS) and the
+    numpy one give the same terms in the same order; the Python one is
+    exact at any size, so it is compared above the constant too."""
+
+    def test_families(self, family_2x2, family_3x3):
+        larger = [vm for n in range(4, 9) for vm in families.valid_family(n, 20)]
+        for vm in family_2x2 + family_3x3 + larger:
+            assert_paths_agree(vm)
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_matrices())
+    def test_random_valid_matrices(self, vm):
+        assert_paths_agree(vm)
+
+    @pytest.mark.parametrize("rows, small", [
+        (((16, -1), (0, 1)), True),
+        (((17, -1), (0, 1)), False),
+        (((8, -1, 0), (0, 1, -1), (0, 0, 1)), True),
+        (((9, -1, 0), (0, 1, -1), (0, 0, 1)), False),
+    ])
+    def test_selection_at_the_constant(self, rows, small):
+        # det * 2^n is 64 or 72 for the 3x3s, 64 or 68 for the 2x2s
+        vm = prepare(IntMatrix(rows))
+        assert (vm.det << vm.n <= kernel.SMALL_NUMERATOR_TERMS) is small
+        expected = kernel._numerator_in_numpy(vm)
+        skipped = "_numerator_in_numpy" if small else "_numerator_in_python"
+        with mock.patch.object(kernel, skipped, side_effect=AssertionError):
+            assert list(numerator_polynomial(vm).items()) == list(expected.items())
 
 
 VALID_BY_N = {

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from bergpoly import InvalidKError, NumeratorTooLargeError
+from bergpoly import InvalidKError, NumeratorTooLargeError, kernel
 from bergpoly.tent import _dtype, tent, tent_product_over_box
 
 from _reference import tent_coefficients
@@ -165,6 +165,16 @@ class TestBoxProduct:
         rows = 4 * (2**61 + 1)
         with pytest.raises(NumeratorTooLargeError, match=f"level 2 of 2, which has {rows} rows"):
             tent_product_over_box((0, 0), (3, 2**61), [3], [[1], [0]], [0])
+
+    def test_rows_at_the_cap(self):
+        # every point of a one-coordinate box whose tent never vanishes is
+        # a row: 2^18 of them are enumerated, one more is refused
+        cap = kernel.NUMERATOR_BUDGET_TERMS
+        assert len(tent_product_over_box((1,), (cap,), [cap + 1], [[1]], [0])) == cap
+        with pytest.raises(NumeratorTooLargeError, match=(
+                rf"^the numerator enumeration in dimension 1 reaches level 1 of 1, "
+                rf"which has {cap + 1} rows, more than the cap of {cap}$")):
+            tent_product_over_box((0,), (cap,), [cap + 1], [[1]], [0])
 
     def test_weight_of_coordinate_fixed_at_zero(self):
         # the weight moves nothing, however large
